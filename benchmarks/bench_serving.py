@@ -26,8 +26,8 @@ concurrent load, for the exact (fvm) and learned (operator) backends:
   the proxy hop costs < 15% of throughput), and through the router
   fronting two replica processes (acceptance on multi-core hosts: >= 1.5x
   the single-replica routed throughput — the replicas are separate
-  processes, so the fleet is the scale-out rung above ``--exec
-  processes``; see docs/CLUSTER.md).
+  processes, so the fleet is how serving uses more cores; see
+  docs/CLUSTER.md).
 """
 
 import json
@@ -48,7 +48,7 @@ from repro.api.session import ThermalSession
 from repro.chip.designs import get_chip
 from repro.data.generation import DatasetSpec, generate_dataset
 from repro.operators.factory import build_operator, save_operator
-from repro.runtime.plane import DeadlineExceeded
+from repro.api import DeadlineExceeded
 from repro.serving.backends import build_backends
 from repro.serving.engine import MicroBatchEngine
 from repro.serving.request import ThermalRequest
@@ -269,7 +269,7 @@ def _overload_round(deadline_ms, session, power_base):
     The backlog is queued before the engine starts so its depth is exact;
     with a ``deadline_ms`` budget, requests whose budget is spent while
     queued are shed (their futures raise
-    :class:`~repro.runtime.plane.DeadlineExceeded`) instead of solved.
+    :class:`~repro.api.DeadlineExceeded`) instead of solved.
     """
     engine = MicroBatchEngine(
         build_backends(session=session), max_batch_size=SHED_BATCH, max_wait_ms=1.0

@@ -19,10 +19,9 @@
 # multi-worker scaling curve (>= 1.5x throughput at --workers 4 vs 1 for
 # mixed-chip fvm load at resolution 32), and the speculative
 # time-to-first-answer datapoint (surrogate first frame >= 5x faster than
-# the blocking exact p50).  bench_exec.py records the
-# execution-plane scaling numbers: fvm dataset generation through a 4-worker
-# ProcessPlane vs SerialPlane (>= 1.7x on hosts with >= 4 cores, bitwise
-# identical outputs) and serving throughput inline vs on a process plane.
+# the blocking exact p50).  bench_exec.py records dataset generation inline
+# vs the workers = cpu_count thread fan-out (bitwise-identical outputs, the
+# core count in extra_info, "not applicable" on a 1-core host).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,11 +34,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
     python -m compileall -q src
     echo "== smoke: CLI surface sanity =="
     python -m repro.cli chips > /dev/null
-    echo "== smoke: generate --exec processes (2-worker dataset generation) =="
+    echo "== smoke: generate --exec-workers 2 (2-thread dataset generation) =="
     SMOKE_DATASET="$(mktemp -t repro_smoke_dataset_XXXXXX.npz)"
     trap 'rm -f "$SMOKE_DATASET"' EXIT
     python -m repro.cli generate --chip chip1 --resolution 12 --samples 8 \
-        --batch-size 4 --exec processes --exec-workers 2 \
+        --batch-size 4 --exec-workers 2 \
         --output "$SMOKE_DATASET" > /dev/null
     echo "== smoke: generate --factorization cholesky (CHOLMOD or clean LU fallback) =="
     python -m repro.cli generate --chip chip1 --resolution 12 --samples 4 \
@@ -70,11 +69,9 @@ print(f"factorization=cholesky resolved to {factor.kind} "
 PYEOF
     echo "== smoke: serve --workers 2 end-to-end (solve + transient + stats) =="
     python benchmarks/smoke_serving.py
-    echo "== smoke: serve --exec processes end-to-end (plane-backed solves) =="
-    python benchmarks/smoke_serving.py --exec processes --exec-workers 2
-    echo "== smoke: serve --chaos (killed plane worker, zero failed requests, incident on /events + /metrics + watch) =="
-    python benchmarks/smoke_serving.py --exec processes --exec-workers 2 \
-        --chaos kill-worker:0@5 --sample-interval 0.2
+    echo "== smoke: serve --chaos (injected fvm failures open the breaker, zero failed requests, incident on /events + /metrics + watch) =="
+    python benchmarks/smoke_serving.py --fallback --breaker-threshold 3 \
+        --chaos fail-backend:fvm@3 --sample-interval 0.2
     echo "== smoke: fleet (2 replicas + router, SIGKILL one, zero failed requests, degraded->ok, fleet generate) =="
     python benchmarks/smoke_fleet.py
     echo "== smoke: streaming (speculative /solve + streamed /solve_transient, replica and router, first frame beats blocking) =="

@@ -11,6 +11,8 @@
 * :class:`~repro.api.breaker.CircuitBreaker` — per-backend failure gate the
   session consults for graceful degradation (fallback chains, 503s instead
   of repeated solver errors).
+* :class:`~repro.api.session.DeadlineExceeded` — the "shed, never solved"
+  error a request deadline raises (HTTP 504 in the serving layer).
 """
 
 from repro.api.backends import (
@@ -27,6 +29,7 @@ from repro.api.pool import DEFAULT_POOL_SIZE, LRUPool, ResultCache
 from repro.api.registry import ModelRegistry
 from repro.api.session import (
     DEFAULT_RESOLUTION,
+    DeadlineExceeded,
     ThermalSession,
     TrainedOperator,
     get_session,
@@ -40,6 +43,7 @@ __all__ = [
     "CircuitOpenError",
     "DEFAULT_POOL_SIZE",
     "DEFAULT_RESOLUTION",
+    "DeadlineExceeded",
     "FVMBackendAdapter",
     "HotSpotBackendAdapter",
     "LRUPool",

@@ -82,14 +82,6 @@ from repro.operators.factory import (
 )
 from repro.operators.gar import GARRegressor
 from repro.runtime.faults import FaultPlan
-from repro.runtime.plane import DeadlineExceeded, ExecutionPlane, PlaneTask
-from repro.runtime.tasks import (
-    BackendSpec,
-    backend_state_key,
-    build_backend_adapter,
-    solve_cases,
-    warm_state,
-)
 from repro.solvers.factor import validate_factorization
 from repro.solvers.hotspot import HotSpotModel
 from repro.solvers.transient import PowerTrace
@@ -97,23 +89,6 @@ from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
 
 #: Grid resolution used when a query does not specify one.
 DEFAULT_RESOLUTION = 32
-
-#: Backends a session dispatches onto its execution plane.  ``operator``
-#: surrogates live in the parent session's model registry and solve inline;
-#: ``hotspot`` answers in microseconds, so shipping it across a process
-#: boundary would cost more than the solve — it stays inline too (its state
-#: *can* be rebuilt on a worker, see :mod:`repro.runtime.tasks`).
-PLANE_BACKENDS = ("fvm", "transient")
-
-#: EWMA smoothing of the per-case plane latency estimate that drives the
-#: adaptive batch-split decision — recent batches dominate so the estimate
-#: tracks load shifts within a few batches.
-ADAPTIVE_SPLIT_ALPHA = 0.3
-
-#: Estimated whole-batch seconds below which splitting cannot pay: below
-#: this, per-chunk dispatch overhead (task pickling, queue hops, extra warm
-#: states) exceeds the parallel win and the batch travels whole.
-ADAPTIVE_SPLIT_MIN_SECONDS = 0.05
 
 #: The opt-in graceful-degradation order (``fallback=True``): when a
 #: requested backend fails or its circuit breaker is open, the session walks
@@ -128,10 +103,9 @@ DEFAULT_FALLBACK_CHAIN: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Threads of the session's lazily created async executor (behind
-#: :meth:`ThermalSession.submit` / :meth:`ThermalSession.solve_many`).  The
-#: threads mostly *wait* — plane-eligible backends dispatch the actual solve
-#: onto the execution plane — so the count bounds concurrent fan-out groups,
-#: not CPU use.
+#: :meth:`ThermalSession.submit` / :meth:`ThermalSession.solve_many`).  Each
+#: thread solves one coalesced group inline; the count bounds concurrent
+#: fan-out groups.
 ASYNC_POOL_WORKERS = 8
 
 #: Consecutive failures that open a backend's circuit breaker.
@@ -143,12 +117,21 @@ DEFAULT_BREAKER_COOLDOWN_S = 30.0
 ChipLike = Union[str, ChipStack]
 
 
+class DeadlineExceeded(TimeoutError):
+    """A request deadline expired before the work was started.
+
+    Raised by the session when a miss batch's deadline has passed before
+    a backend could start solving, and by the serving engine when it sheds
+    a request that expired while queued.  The work was *never solved* —
+    callers distinguishing "slow" from "shed" can rely on that.
+    """
+
+
 def _chip_fingerprint(chip: ChipStack) -> str:
     """Structural identity of a chip design (see :meth:`ChipStack.fingerprint`).
 
-    Kept as a module-level helper for compatibility; the logic moved onto
-    :class:`~repro.chip.stack.ChipStack` so the execution planes can embed
-    the same identity in warm-state keys without importing the session.
+    Kept as a module-level helper for compatibility; the logic lives on
+    :class:`~repro.chip.stack.ChipStack` itself.
     """
     return chip.fingerprint()
 
@@ -285,10 +268,9 @@ class ThermalSession:
     factorization:
         SPD kernel choice (``"auto"``/``"cholesky"``/``"lu"``, see
         :mod:`repro.solvers.factor`) for every field solver this session
-        builds — pooled fvm/transient adapters, plane warm-state specs and
-        dataset generation all inherit it.  Adapter pools key on it, so two
-        sessions sharing knobs but differing here never share a warm
-        factorisation.
+        builds — pooled fvm/transient adapters and dataset generation both
+        inherit it.  Adapter pools key on it, so two sessions sharing knobs
+        but differing here never share a warm factorisation.
     result_cache_size:
         Memoised answers kept in the result cache.
     result_cache_max_bytes:
@@ -305,13 +287,6 @@ class ThermalSession:
         An existing :class:`ModelRegistry` to share; a fresh one otherwise.
     operator_batch_size:
         Forward-pass batch size of the operator backend.
-    plane:
-        An optional :class:`~repro.runtime.plane.ExecutionPlane` this
-        session dispatches its batched field solves onto (see
-        :data:`PLANE_BACKENDS`).  ``None`` — the default — solves inline on
-        the calling thread, exactly the historical behaviour.  The caller
-        owns the plane's lifecycle (``close()`` it, or use it as a context
-        manager); one plane may be shared by several sessions.
     breaker_threshold:
         Consecutive solve failures that open a backend's circuit breaker
         (see :class:`~repro.api.breaker.CircuitBreaker`).
@@ -341,7 +316,6 @@ class ThermalSession:
         result_cache: Optional[ResultCache] = None,
         models: Optional[ModelRegistry] = None,
         operator_batch_size: int = 32,
-        plane: Optional[ExecutionPlane] = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
         fallback: Union[bool, Mapping[str, Sequence[str]]] = False,
@@ -350,7 +324,6 @@ class ThermalSession:
         self.cells_per_layer = cells_per_layer
         self.factorization = validate_factorization(factorization)
         self.operator_batch_size = operator_batch_size
-        self.plane = plane
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self.faults = faults
@@ -368,14 +341,6 @@ class ThermalSession:
         self._reliability_lock = threading.Lock()
         self._fallbacks = 0
         self._breaker_rejections = 0
-        # Plane-dispatch bookkeeping: a per-state-key EWMA of observed
-        # per-case solve seconds feeds the adaptive batch-split decision in
-        # _solve_batch_on_plane; the counters surface in stats()["dispatch"].
-        self._dispatch_lock = threading.Lock()
-        self._latency_ewma: Dict[Tuple, float] = {}
-        self._plane_batches = 0
-        self._split_batches = 0
-        self._adaptive_splits = 0
         self._chips: Dict[str, ChipStack] = {}
         self._pools: Dict[str, LRUPool] = {
             name: LRUPool(pool_size) for name in ("fvm", "hotspot", "transient")
@@ -416,15 +381,11 @@ class ThermalSession:
     def attach_events(self, bus: EventBus) -> None:
         """Publish this session's telemetry onto ``bus``.
 
-        Wires the result cache's eviction listener, every existing (and
-        future) circuit breaker's transition listener, and — if the session
-        drives an execution plane that has no bus yet — the plane's
-        worker-death/retry events.  Safe to call once after construction;
-        sessions without a bus emit nothing.
+        Wires the result cache's eviction listener and every existing (and
+        future) circuit breaker's transition listener.  Safe to call once
+        after construction; sessions without a bus emit nothing.
         """
         self.events = bus
-        if self.plane is not None and getattr(self.plane, "events", None) is None:
-            self.plane.attach_events(bus)
 
     def _on_cache_eviction(self, cause: str, key: Any) -> None:
         publish_all(
@@ -669,7 +630,6 @@ class ThermalSession:
         include_maps: bool = False,
         include_values: bool = False,
         use_cache: bool = True,
-        plane: Optional[ExecutionPlane] = None,
         deadline: Optional[float] = None,
     ) -> List[ThermalSolution]:
         """Answer many power cases in one batched backend call.
@@ -678,19 +638,11 @@ class ThermalSession:
         backend, together, so a warm cache turns a batch into one dictionary
         pass and the cold remainder still amortises the factorisation.
 
-        ``plane`` (default: the session's configured plane) routes the miss
-        batch of a plane-eligible backend (:data:`PLANE_BACKENDS`) onto an
-        execution plane: small batches travel whole to the worker owning
-        the key's warm state, while batches large enough to feed every
-        worker are split into per-worker chunks — each worker warms its own
-        factorisation, so a big batch genuinely runs on several cores.  The
-        answers are bitwise-identical to inline solving either way.
-
-        ``deadline`` (absolute ``time.monotonic()`` seconds) propagates to
-        the plane tasks and is re-checked before each solve attempt;
-        expired work raises :class:`~repro.runtime.plane.DeadlineExceeded`
-        instead of burning solver time.  Cached answers are still served —
-        a dictionary lookup beats any deadline worth having.
+        ``deadline`` (absolute ``time.monotonic()`` seconds) is checked
+        before each solve attempt; expired work raises
+        :class:`DeadlineExceeded` instead of burning solver time.  Cached
+        answers are still served — a dictionary lookup beats any deadline
+        worth having.
 
         When the session was built with ``fallback`` enabled, a failing (or
         breaker-open) backend degrades to its fallback chain instead of
@@ -731,10 +683,8 @@ class ThermalSession:
                 else:
                     misses.append(index)
         if misses:
-            plane = plane if plane is not None else self.plane
             miss_assignments = [assignments[index] for index in misses]
             solved, producer = self._solve_misses(
-                plane,
                 chip_stack,
                 resolution,
                 backend,
@@ -819,8 +769,7 @@ class ThermalSession:
         ``resolution`` / ``backend`` / ``include_maps`` /
         ``include_values`` / ``use_cache`` optional).  Queries sharing
         ``(chip, resolution, backend, detail)`` are coalesced into one
-        batched solve — which rides the execution plane when the session
-        drives one — and distinct groups run concurrently on the async
+        batched solve, and distinct groups run concurrently on the async
         executor, so a fan-out across chips costs the wall-clock of its
         slowest group instead of the sum.  Results come back in query
         order; ``timeout`` bounds the *whole* call, not each group.
@@ -894,7 +843,6 @@ class ThermalSession:
 
     def _solve_misses(
         self,
-        plane: Optional[ExecutionPlane],
         chip_stack: ChipStack,
         resolution: int,
         backend: str,
@@ -926,14 +874,12 @@ class ThermalSession:
                 )
             try:
                 solve = self._prepare_candidate(
-                    plane,
                     chip_stack,
                     resolution,
                     candidate,
                     assignments,
                     include_maps=include_maps,
                     include_values=include_values,
-                    deadline=deadline,
                 )
             except Exception as error:  # noqa: BLE001 — config, not health
                 # The candidate cannot serve this request *shape* (unknown
@@ -955,11 +901,6 @@ class ThermalSession:
                 if self.faults is not None:
                     self.faults.on_backend_solve(candidate)
                 solved = solve()
-            except DeadlineExceeded:
-                # A shed is the deadline's fault, not the backend's: leave
-                # the breaker verdict-free and stop the whole chain.
-                breaker.release_probe()
-                raise
             except Exception as error:  # noqa: BLE001 — fall through chain
                 breaker.record_failure()
                 first_error = first_error if first_error is not None else error
@@ -977,7 +918,6 @@ class ThermalSession:
 
     def _prepare_candidate(
         self,
-        plane: Optional[ExecutionPlane],
         chip_stack: ChipStack,
         resolution: int,
         candidate: str,
@@ -985,24 +925,12 @@ class ThermalSession:
         *,
         include_maps: bool,
         include_values: bool,
-        deadline: Optional[float],
     ) -> Callable[[], List[ThermalSolution]]:
         """A zero-argument solve closure for one fallback-chain candidate.
 
         Raises immediately (before any breaker bookkeeping) when the
         candidate cannot serve the request shape at all.
         """
-        if plane is not None and candidate in PLANE_BACKENDS:
-            return lambda: self._solve_batch_on_plane(
-                plane,
-                chip_stack,
-                resolution,
-                candidate,
-                assignments,
-                include_maps=include_maps,
-                include_values=include_values,
-                deadline=deadline,
-            )
         adapter = self.backend(candidate, chip_stack, resolution)
         if include_values and not adapter.capabilities().get("values", False):
             raise ValueError(
@@ -1045,102 +973,6 @@ class ThermalSession:
             breakers = list(self._breakers.items())
         return sorted(name for name, breaker in breakers if breaker.state != "closed")
 
-    def _solve_batch_on_plane(
-        self,
-        plane: ExecutionPlane,
-        chip_stack: ChipStack,
-        resolution: int,
-        backend: str,
-        assignments: List[Dict[str, float]],
-        *,
-        include_maps: bool,
-        include_values: bool,
-        deadline: Optional[float] = None,
-    ) -> List[ThermalSolution]:
-        """Dispatch one homogeneous miss batch onto an execution plane.
-
-        The batch becomes one task (routed by warm-state key affinity) when
-        it is small, or ``plane.workers`` chunk tasks pinned to distinct
-        worker slots when splitting pays — the chunk results are
-        re-concatenated in order, so callers see exactly the inline answer
-        list (chunked answers are bitwise-identical to whole-batch ones).
-
-        The split decision is adaptive: a batch deep enough to feed every
-        worker twice always splits (the historical static rule), and a
-        smaller batch (>= one case per worker) splits when the live
-        per-case latency EWMA for this state key says the whole batch
-        would cost at least :data:`ADAPTIVE_SPLIT_MIN_SECONDS` — heavy
-        keys (high resolutions) split earlier, trivial keys never pay the
-        chunk-dispatch overhead.  Splits the static rule would not have
-        made are counted as ``adaptive_splits`` in :meth:`stats`.
-        """
-        spec = BackendSpec(
-            chip=chip_stack,
-            resolution=resolution,
-            backend=backend,
-            cells_per_layer=self.cells_per_layer,
-            factorization=self.factorization,
-        )
-        key = backend_state_key(spec)
-        count = len(assignments)
-        with self._dispatch_lock:
-            per_case_s = self._latency_ewma.get(key)
-        static_split = plane.workers > 1 and count >= 2 * plane.workers
-        adaptive_split = (
-            not static_split
-            and plane.workers > 1
-            and count >= plane.workers
-            and per_case_s is not None
-            and count * per_case_s >= ADAPTIVE_SPLIT_MIN_SECONDS
-        )
-        if static_split or adaptive_split:
-            bounds = np.linspace(0, count, plane.workers + 1).astype(int)
-            chunks = [
-                (slot, assignments[bounds[slot]:bounds[slot + 1]])
-                for slot in range(plane.workers)
-                if bounds[slot] < bounds[slot + 1]
-            ]
-        else:
-            chunks = [(None, assignments)]
-        tasks = [
-            PlaneTask(
-                fn=solve_cases,
-                payload={
-                    "assignments": chunk,
-                    "include_maps": include_maps,
-                    "include_values": include_values,
-                },
-                state_key=key,
-                state_factory=build_backend_adapter,
-                state_spec=spec,
-                affinity=slot,
-                deadline=deadline,
-            )
-            for slot, chunk in chunks
-        ]
-        started = time.perf_counter()
-        solved: List[ThermalSolution] = []
-        for chunk_solutions in plane.run_all(tasks):
-            solved.extend(chunk_solutions)
-        elapsed = time.perf_counter() - started
-        # Chunks run concurrently, so wall-clock over the batch times the
-        # chunk count approximates one worker's sequential per-case cost.
-        per_case_observed = elapsed * len(chunks) / count
-        with self._dispatch_lock:
-            previous = self._latency_ewma.get(key)
-            self._latency_ewma[key] = (
-                per_case_observed
-                if previous is None
-                else ADAPTIVE_SPLIT_ALPHA * per_case_observed
-                + (1.0 - ADAPTIVE_SPLIT_ALPHA) * previous
-            )
-            self._plane_batches += 1
-            if len(chunks) > 1:
-                self._split_batches += 1
-            if adaptive_split:
-                self._adaptive_splits += 1
-        return solved
-
     def solve_transient(
         self,
         chip: ChipLike,
@@ -1174,20 +1006,13 @@ class ThermalSession:
     # ------------------------------------------------------------------
     # Warm-up
     # ------------------------------------------------------------------
-    def warm_up(
-        self,
-        keys: Sequence[Any],
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    def warm_up(self, keys: Sequence[Any]) -> Dict[str, Any]:
         """Pre-build solver state for a set of group keys before traffic.
 
         ``keys`` is a sequence of ``(chip, resolution, backend)`` triples or
-        ``{"chip": ..., "resolution": ..., "backend": ...}`` mappings.
-        Plane-eligible backends (:data:`PLANE_BACKENDS`, when this session
-        drives a plane) warm through
-        :meth:`~repro.runtime.plane.ExecutionPlane.warm_up`, building each
-        key's factorisation on the worker that owns it; everything else
-        warms by touching the session's adapter pools inline.  Returns
+        ``{"chip": ..., "resolution": ..., "backend": ...}`` mappings; each
+        warms by touching the session's adapter pools (building the adapter
+        is the warm-up).  Returns
         ``{"warmed": [labels...], "errors": {label: message}}``.
 
         This is the session half of the fleet warm-up protocol: a replica
@@ -1196,7 +1021,6 @@ class ThermalSession:
         """
         warmed: List[str] = []
         errors: Dict[str, str] = {}
-        plane_jobs: List[Tuple[str, PlaneTask]] = []
         for entry in keys:
             if isinstance(entry, Mapping):
                 chip_name = entry.get("chip")
@@ -1206,46 +1030,10 @@ class ThermalSession:
                 chip_name, resolution, backend = entry
             label = f"{chip_name}/{resolution}/{backend}"
             try:
-                chip_stack = self._resolve_chip(chip_name)
-                resolution = int(resolution)
-                backend = str(backend)
-                if self.plane is not None and backend in PLANE_BACKENDS:
-                    spec = BackendSpec(
-                        chip=chip_stack,
-                        resolution=resolution,
-                        backend=backend,
-                        cells_per_layer=self.cells_per_layer,
-                        factorization=self.factorization,
-                    )
-                    plane_jobs.append(
-                        (
-                            label,
-                            PlaneTask(
-                                fn=warm_state,
-                                state_key=backend_state_key(spec),
-                                state_factory=build_backend_adapter,
-                                state_spec=spec,
-                            ),
-                        )
-                    )
-                else:
-                    # Pool touch: building the adapter is the warm-up.
-                    self.backend(backend, chip_stack, resolution)
-                    warmed.append(label)
+                self.backend(str(backend), self._resolve_chip(chip_name), int(resolution))
+                warmed.append(label)
             except Exception as error:  # noqa: BLE001 — collected per key
                 errors[label] = str(error)
-        if plane_jobs:
-            # Submit every plane job before collecting so distinct keys warm
-            # concurrently on their owning workers; errors stay per-key.
-            futures = [
-                (label, self.plane.submit(task)) for label, task in plane_jobs
-            ]
-            for label, future in futures:
-                try:
-                    future.result(timeout=timeout)
-                    warmed.append(label)
-                except Exception as error:  # noqa: BLE001
-                    errors[label] = str(error)
         return {"warmed": warmed, "errors": errors}
 
     # ------------------------------------------------------------------
@@ -1259,14 +1047,14 @@ class ThermalSession:
         seed: int = 0,
         batch_size: int = DEFAULT_BATCH_SIZE,
         verbose: bool = False,
-        plane: Optional[ExecutionPlane] = None,
+        workers: int = 1,
         **spec_options: Any,
     ) -> ThermalDataset:
         """Generate a (power map -> temperature field) training dataset.
 
-        Runs the prepare-once / solve-many FVM pipeline, sharded across
-        ``plane`` (default: the session's configured plane, else inline
-        serial); ``spec_options`` forwards the remaining
+        Runs the prepare-once / solve-many FVM pipeline with its batches
+        fanned out over ``workers`` threads (the answers do not depend on
+        ``workers``); ``spec_options`` forwards the remaining
         :class:`~repro.data.generation.DatasetSpec` fields (``core_bias``,
         ``idle_probability``, ``total_power_range_W``).
         """
@@ -1285,7 +1073,7 @@ class ThermalSession:
             chip=chip_stack,
             verbose=verbose,
             batch_size=batch_size,
-            plane=plane if plane is not None else self.plane,
+            workers=workers,
         )
 
     def generate_multifidelity_pair(
@@ -1297,7 +1085,7 @@ class ThermalSession:
         num_high: int,
         seed: int = 0,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        plane: Optional[ExecutionPlane] = None,
+        workers: int = 1,
         share_geometry: bool = True,
     ) -> Tuple[ThermalDataset, ThermalDataset]:
         """The low/high-fidelity dataset pair used by transfer learning.
@@ -1306,7 +1094,8 @@ class ThermalSession:
         ``share_geometry`` is left on), the chip is voxelised once at the
         high resolution and the low-fidelity geometry is derived by
         :meth:`~repro.solvers.voxelize.GridGeometry.coarsen`, sharing the
-        vertical layout and floorplan rasters across the pair.
+        vertical layout and floorplan rasters across the pair.  Both
+        datasets fan their batches out over ``workers`` threads.
         """
         chip_stack = self._resolve_chip(chip)
         return _generate_multifidelity_pair(
@@ -1319,7 +1108,7 @@ class ThermalSession:
             cells_per_layer=self.cells_per_layer,
             batch_size=batch_size,
             chip=chip_stack,
-            plane=plane if plane is not None else self.plane,
+            workers=workers,
             share_geometry=share_geometry,
         )
 
@@ -1421,20 +1210,11 @@ class ThermalSession:
         with self._reliability_lock:
             fallbacks = self._fallbacks
             rejections = self._breaker_rejections
-        with self._dispatch_lock:
-            dispatch = {
-                "plane_batches": self._plane_batches,
-                "split_batches": self._split_batches,
-                "adaptive_splits": self._adaptive_splits,
-                "latency_ewma_keys": len(self._latency_ewma),
-            }
         return {
             "result_cache": self.result_cache.stats(),
             "pools": {name: pool.stats() for name, pool in self._pools.items()},
             "models": len(self.models),
             "custom_chips": sorted(self._chips),
-            "plane": self.plane.stats() if self.plane is not None else None,
-            "dispatch": dispatch,
             "reliability": {
                 "breakers": breakers,
                 "open_breakers": self.open_breakers(),

@@ -62,7 +62,6 @@ from repro.chip.designs import get_chip, list_chips
 from repro.data.dataset import ThermalDataset
 from repro.data.generation import DEFAULT_BATCH_SIZE
 from repro.data.power import error_message, parse_power_spec
-from repro.runtime.plane import PLANE_KINDS
 from repro.solvers.factor import FACTORIZATION_CHOICES, resolve_factorization
 from repro.evaluation.reporting import ascii_heatmap, format_table
 from repro.operators.factory import OPERATOR_REGISTRY
@@ -86,21 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                           help="power cases solved per batched factorization pass")
-    generate.add_argument("--exec", dest="exec_plane", default="serial",
-                          choices=list(PLANE_KINDS),
-                          help="execution plane solving the batches: 'serial' "
-                               "(inline, the default), 'threads', or 'processes' "
-                               "(worker processes with warm per-process "
-                               "factorizations — true multi-core generation)")
-    generate.add_argument("--exec-workers", type=int, default=None, metavar="N",
-                          help="workers of the execution plane (default: the "
-                               "host CPU count; ignored for --exec serial)")
+    generate.add_argument("--exec-workers", type=int, default=1, metavar="N",
+                          help="threads solving the batches, each with its own "
+                               "warm factorization (default: 1, inline); the "
+                               "output is bitwise-identical for every N")
     generate.add_argument("--fleet", default=None, metavar="ROUTER_URL",
                           help="generate through a fleet router instead of "
                                "locally: the dataset's batches are sharded "
                                "across the router's healthy replicas and the "
                                "merged result is bitwise-identical to a "
-                               "single-host run (ignores --exec)")
+                               "single-host run (ignores --exec-workers)")
     generate.add_argument("--shards", type=int, default=None, metavar="N",
                           help="with --fleet: number of shards (default: one "
                                "per healthy replica)")
@@ -159,16 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="dispatcher worker threads; group keys are sharded "
                             "across them (1 = the classic single dispatcher)")
-    serve.add_argument("--exec", dest="exec_plane", default="serial",
-                       choices=list(PLANE_KINDS),
-                       help="where each group's batched solve runs: 'serial' "
-                            "(inline in the dispatcher thread, the default), "
-                            "'threads', or 'processes' (worker processes with "
-                            "warm per-process factorizations — multi-core "
-                            "serving on multi-core hosts)")
-    serve.add_argument("--exec-workers", type=int, default=None, metavar="N",
-                       help="workers of the execution plane (default: the host "
-                            "CPU count; ignored for --exec serial)")
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
                        help="admission bound on queued requests; beyond it /solve "
                             "answers 429 immediately (default: unbounded)")
@@ -200,10 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds an open breaker rests before letting one "
                             "probe request through (default: 30)")
     serve.add_argument("--chaos", type=str, default=None, metavar="SPEC",
-                       help="inject faults for reliability drills, e.g. "
-                            "'kill-worker:0@5,fail-backend:fvm@3' (worker "
-                            "directives need --exec processes); see "
-                            "repro.runtime.faults.FaultPlan.parse")
+                       help="inject backend faults for reliability drills, e.g. "
+                            "'fail-backend:fvm@3,delay-backend:hotspot:0.5@2'; "
+                            "see repro.runtime.faults.FaultPlan.parse")
     serve.add_argument("--verbose", action="store_true", help="log HTTP requests")
     serve.add_argument("--log-json", action="store_true",
                        help="structured access log: one JSON line per request "
@@ -292,48 +275,22 @@ def _cmd_chips(_args) -> int:
     return 0
 
 
-def _make_plane(args, faults=None):
-    """Build the execution plane a subcommand asked for (None for serial).
-
-    ``--exec serial`` maps to no plane at all: the inline code path is the
-    historical single-core pipeline, bitwise-identical by construction.
-    ``faults`` (a :class:`~repro.runtime.faults.FaultPlan`) arms chaos
-    injection on the plane's workers.
-    """
-    if args.exec_plane == "serial":
-        if faults is not None and faults.has_worker_faults:
-            raise ValueError(
-                "worker fault injection (kill-worker / drop-result) requires "
-                "--exec processes"
-            )
-        return None
-    from repro.runtime import create_plane
-
-    if args.exec_workers is not None and args.exec_workers < 1:
-        raise ValueError("--exec-workers must be >= 1")
-    return create_plane(args.exec_plane, workers=args.exec_workers, faults=faults)
-
-
 def _cmd_generate(args) -> int:
     if args.fleet:
         return _generate_fleet(args)
-    plane = _make_plane(args)
-    session = ThermalSession(plane=plane, factorization=args.factorization)
-    where = f" on a {plane.kind} plane ({plane.workers} workers)" if plane is not None else ""
+    session = ThermalSession(factorization=args.factorization)
+    where = f" on {args.exec_workers} threads" if args.exec_workers > 1 else ""
     print(f"generating {args.samples} cases for {args.chip} "
           f"at {args.resolution}x{args.resolution}{where} ...")
-    try:
-        dataset = session.generate_dataset(
-            args.chip,
-            resolution=args.resolution,
-            num_samples=args.samples,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            verbose=True,
-        )
-    finally:
-        if plane is not None:
-            plane.close()
+    dataset = session.generate_dataset(
+        args.chip,
+        resolution=args.resolution,
+        num_samples=args.samples,
+        seed=args.seed,
+        batch_size=args.batch_size,
+        verbose=True,
+        workers=args.exec_workers,
+    )
     dataset.save(args.output)
     print(f"wrote {args.output}: inputs {dataset.inputs.shape}, targets {dataset.targets.shape}")
     return 0
@@ -503,13 +460,11 @@ def _cmd_serve(args) -> int:
         from repro.runtime.faults import FaultPlan
 
         faults = FaultPlan.parse(args.chaos)  # ValueError -> exit 2 with message
-    plane = _make_plane(args, faults=faults)
     session = ThermalSession(
         pool_size=args.solver_cache_size,
         result_cache_size=args.result_cache_size,
         result_cache_max_bytes=int(args.cache_max_mb * 1024 * 1024),
         result_cache_ttl_s=args.cache_ttl,
-        plane=plane,
         fallback=args.fallback,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
@@ -535,8 +490,7 @@ def _cmd_serve(args) -> int:
     print(f"  backends: {', '.join(sorted(backends))}"
           + (f" ({len(args.models)} operator model(s) loaded)" if args.models else ""))
     print(f"  workers: {args.workers}"
-          + (f" · max queue: {args.max_queue}" if args.max_queue else "")
-          + (f" · exec: {plane.kind} ({plane.workers} workers)" if plane is not None else ""))
+          + (f" · max queue: {args.max_queue}" if args.max_queue else ""))
     print(f"  solver kernel: {resolve_factorization(args.factorization)} "
           f"(requested: {args.factorization})")
     if args.fallback or faults is not None:
@@ -560,19 +514,12 @@ def _cmd_serve(args) -> int:
         # are daemons and die with the process.  Interpreter finalisation can
         # race those daemons' stdio teardown (observed as exit status 120),
         # so flush explicitly and exit hard: for a service process SIGINT ->
-        # clean "shutting down" -> exit 0 must be deterministic.  The plane's
-        # worker processes must be stopped *before* os._exit, which skips the
-        # atexit hooks that would otherwise reap them.
+        # clean "shutting down" -> exit 0 must be deterministic.
         server.close()
-        if plane is not None:
-            plane.close()
         sys.stdout.flush()
         sys.stderr.flush()
         import os
         os._exit(0)
-    finally:
-        if plane is not None:
-            plane.close()
     return 0
 
 

@@ -35,10 +35,7 @@ from repro.chip.designs import get_chip
 from repro.chip.stack import ChipStack
 from repro.cluster.proxy import ReplicaClient, ReplicaError
 from repro.data.dataset import ThermalDataset
-from repro.data.generation import DEFAULT_BATCH_SIZE, DatasetSpec
-from repro.data.power import PowerSampler
-from repro.runtime.plane import ExecutionPlane, PlaneTask, SerialPlane
-from repro.runtime.tasks import SolverSpec, build_fvm_solver, generate_batch, solver_state_key
+from repro.data.generation import DEFAULT_BATCH_SIZE, DatasetSpec, draw_batches, solve_batches
 
 __all__ = [
     "spec_to_payload",
@@ -88,32 +85,12 @@ def spec_from_payload(payload: Dict[str, Any]) -> DatasetSpec:
     )
 
 
-def _draw_batches(spec: DatasetSpec, chip: ChipStack, batch_size: int):
-    """The exact case list and batch boundaries ``generate_dataset`` uses."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    rng = np.random.default_rng(spec.seed)
-    sampler = PowerSampler(
-        chip,
-        total_power_range_W=spec.total_power_range_W,
-        core_bias=spec.core_bias,
-        idle_probability=spec.idle_probability,
-    )
-    cases = sampler.sample_many(spec.num_samples, rng)
-    batches = [
-        cases[start:start + batch_size]
-        for start in range(0, spec.num_samples, batch_size)
-    ]
-    return sampler, batches
-
-
 def generate_shard(
     spec: DatasetSpec,
     shard_index: int,
     shard_count: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
     chip: Optional[ChipStack] = None,
-    plane: Optional[ExecutionPlane] = None,
 ) -> bytes:
     """Solve one shard's batches and return them as ``.npz`` bytes.
 
@@ -126,41 +103,19 @@ def generate_shard(
             f"shard_index {shard_index} out of range for shard_count {shard_count}"
         )
     chip = chip or get_chip(spec.chip_name)
-    _, batches = _draw_batches(spec, chip, batch_size)
-    solver_spec = SolverSpec(
-        chip=chip,
-        resolution=spec.resolution,
+    _, batches = draw_batches(spec, chip, batch_size)
+    mine = range(shard_index, len(batches), shard_count)
+    solved = solve_batches(
+        chip,
+        spec.resolution,
+        [[case.assignment for case in batches[index]] for index in mine],
         cells_per_layer=spec.cells_per_layer,
         factorization=spec.factorization,
     )
-    state_key = solver_state_key(solver_spec)
-    plane = plane if plane is not None else SerialPlane()
-    mine = [
-        (index, batch)
-        for index, batch in enumerate(batches)
-        if index % shard_count == shard_index
-    ]
-    futures = [
-        (
-            index,
-            plane.submit(
-                PlaneTask(
-                    fn=generate_batch,
-                    payload=[case.assignment for case in batch],
-                    state_key=state_key,
-                    state_factory=build_fvm_solver,
-                    state_spec=solver_spec,
-                    affinity=index,
-                )
-            ),
-        )
-        for index, batch in mine
-    ]
     arrays: Dict[str, np.ndarray] = {}
-    for index, future in futures:
-        batch_targets, batch_seconds = future.result()
-        arrays[f"targets_{index}"] = np.stack(batch_targets)
-        arrays[f"seconds_{index}"] = np.asarray(batch_seconds, dtype=np.float64)
+    for index, (batch_targets, batch_seconds) in zip(mine, solved):
+        arrays[f"targets_{index}"] = batch_targets
+        arrays[f"seconds_{index}"] = batch_seconds
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **arrays)
     return buffer.getvalue()
@@ -181,7 +136,7 @@ def merge_shards(
     drop cases.
     """
     chip = chip or get_chip(spec.chip_name)
-    sampler, batches = _draw_batches(spec, chip, batch_size)
+    sampler, batches = draw_batches(spec, chip, batch_size)
     targets_by_batch: Dict[int, np.ndarray] = {}
     seconds_by_batch: Dict[int, np.ndarray] = {}
     for blob in shard_blobs:

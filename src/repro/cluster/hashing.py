@@ -1,8 +1,7 @@
 """Consistent placement of ``(chip, resolution, backend)`` groups on replicas.
 
-The single-host planes route work by CRC affinity
-(:func:`repro.runtime.plane._stable_slot` hashes a warm-state key onto a
-worker slot).  Across replicas a plain ``crc % n`` would reshuffle almost
+The serving engine shards group keys onto its dispatcher threads by CRC
+affinity.  Across replicas a plain ``crc % n`` would reshuffle almost
 every key whenever ``n`` changes, evicting every replica's warm LRU solver
 pools on each membership event.  This module generalises the same CRC hash
 to **rendezvous (highest-random-weight) hashing**: every ``(replica, key)``
@@ -25,7 +24,7 @@ __all__ = ["rendezvous_score", "owner", "rank"]
 def rendezvous_score(replica_id: str, key: Hashable) -> int:
     """Deterministic weight of placing ``key`` on ``replica_id``.
 
-    Same hash family as the plane's worker affinity (CRC-32 over the
+    Same hash family as the engine's shard affinity (CRC-32 over the
     ``repr`` of the key), salted with the replica identity so each replica
     induces an independent ordering over keys.
     """

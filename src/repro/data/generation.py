@@ -7,25 +7,22 @@ per-power-layer power-density maps as inputs and the corresponding per-layer
 temperature maps as targets.
 
 The loop is built on the solver's prepare-once / solve-many split
-(:mod:`repro.solvers.fvm`) **and** on the runtime's execution planes
-(:mod:`repro.runtime`): cases are drawn up front (preserving the exact seed
-RNG sequence), grouped into stacked-RHS batches, and the batches are
-submitted to an :class:`~repro.runtime.plane.ExecutionPlane` as tasks
-carrying a warm-solver state key.  On the default
-:class:`~repro.runtime.plane.SerialPlane` this runs inline against one
-cached factorisation — bitwise-identical to the historical loop; on a
-:class:`~repro.runtime.plane.ProcessPlane` the batches shard round-robin
-across worker processes, each of which builds and keeps its own warm
-factorisation, so generation scales with cores.  This is where the paper's
-cost asymmetry lives (thousands of PDE solves per dataset), so amortising
-— and now parallelising — the per-case cost directly sets the end-to-end
-generation throughput.
+(:mod:`repro.solvers.fvm`): cases are drawn up front (preserving the exact
+seed RNG sequence), grouped into stacked-RHS batches, and the batches are
+solved by :func:`solve_batches`.  That helper deals the batches round-robin
+to ``workers`` threads, each owning one prepared solver built from one
+shared geometry; the sparse back-substitution releases the GIL, so threads
+scale generation with cores while the answers stay bitwise-identical to a
+single worker.  This is where the paper's cost asymmetry lives (thousands of
+PDE solves per dataset), so amortising — and parallelising — the per-case
+cost directly sets the end-to-end generation throughput.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,15 +30,13 @@ from repro.chip.designs import get_chip
 from repro.chip.stack import ChipStack
 from repro.data.dataset import ThermalDataset
 from repro.data.power import PowerCase, PowerSampler
-from repro.runtime.plane import ExecutionPlane, PlaneTask, SerialPlane
-from repro.runtime.tasks import SolverSpec, build_fvm_solver, generate_batch, solver_state_key
-from repro.solvers.factor import resolve_factorization, validate_factorization
+from repro.solvers.factor import resolve_factorization
 from repro.solvers.fvm import FVMSolver, SOLVER_VERSION, TemperatureField
 from repro.solvers.voxelize import GridGeometry, build_geometry
 
 #: Number of power cases solved per batched factorisation pass.  Bounds the
 #: peak memory of the stacked ``(n, B)`` right-hand-side matrix, and is the
-#: unit of work sharded across execution-plane workers.
+#: unit of work dealt to the generation threads.
 DEFAULT_BATCH_SIZE = 32
 
 
@@ -102,35 +97,18 @@ def generate_case(
     return inputs, targets, field
 
 
-def generate_dataset(
-    spec: DatasetSpec,
-    chip: Optional[ChipStack] = None,
-    verbose: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    plane: Optional[ExecutionPlane] = None,
-    geometry: Optional[GridGeometry] = None,
-) -> ThermalDataset:
-    """Generate a full dataset according to ``spec``.
+def draw_batches(
+    spec: DatasetSpec, chip: ChipStack, batch_size: int
+) -> Tuple[PowerSampler, List[List[PowerCase]]]:
+    """The seeded case list of ``spec``, cut into stacked-RHS batches.
 
-    The random number generator is seeded from ``spec.seed`` so the same spec
-    always produces the same dataset, which the caching layer and the
-    experiment harness rely on.  Cases are solved in batches of
-    ``batch_size`` right-hand sides against cached factorisations.
-
-    ``plane`` selects *who* solves the batches: ``None`` (a private
-    :class:`~repro.runtime.plane.SerialPlane`) reproduces the historical
-    single-core pipeline bitwise; a shared
-    :class:`~repro.runtime.plane.ProcessPlane` shards the batches
-    round-robin across its worker processes, each warming its own
-    factorisation.  The solved answers are identical either way — the LU
-    back-substitution is independent per RHS column.
-
-    ``geometry`` optionally injects a pre-built voxelisation (the
-    multifidelity pair shares one across its two fidelities).
+    Sampling is the only consumer of the RNG, so drawing every case up
+    front produces the exact sequence a per-case loop would.  Distributed
+    generation re-draws the same list on every host and gets the same
+    batch boundaries.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    chip = chip or get_chip(spec.chip_name)
     rng = np.random.default_rng(spec.seed)
     sampler = PowerSampler(
         chip,
@@ -138,54 +116,106 @@ def generate_dataset(
         core_bias=spec.core_bias,
         idle_probability=spec.idle_probability,
     )
-
-    # Sampling is the only consumer of the RNG, so drawing every case up
-    # front produces the exact sequence the per-case loop used to.
     cases = sampler.sample_many(spec.num_samples, rng)
     batches = [
-        cases[batch_start:batch_start + batch_size]
-        for batch_start in range(0, spec.num_samples, batch_size)
+        cases[start:start + batch_size] for start in range(0, spec.num_samples, batch_size)
     ]
+    return sampler, batches
 
-    solver_spec = SolverSpec(
-        chip=chip,
-        resolution=spec.resolution,
-        cells_per_layer=spec.cells_per_layer,
-        factorization=validate_factorization(spec.factorization),
-        geometry=geometry,
-    )
-    state_key = solver_state_key(solver_spec)
-    plane = plane if plane is not None else SerialPlane()
-    # Explicit round-robin affinity: every batch shares one state key, so
-    # key-hash routing would pin the whole dataset to one worker.  Sharding
-    # by batch index instead spreads the work across all workers, each of
-    # which warms its own copy of the factorisation.
-    tasks = [
-        PlaneTask(
-            fn=generate_batch,
-            payload=[case.assignment for case in batch],
-            state_key=state_key,
-            state_factory=build_fvm_solver,
-            state_spec=solver_spec,
-            affinity=index,
+
+def solve_batches(
+    chip: ChipStack,
+    resolution: int,
+    batches: Sequence[Sequence[Mapping[str, float]]],
+    *,
+    cells_per_layer: int = 2,
+    factorization: str = "auto",
+    geometry: Optional[GridGeometry] = None,
+    workers: int = 1,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Solve batches of power assignments, fanned out over ``workers`` threads.
+
+    Batch ``i`` goes to worker ``i % workers``; each worker builds one
+    prepared :class:`~repro.solvers.fvm.FVMSolver` from the shared
+    ``geometry`` (voxelised here when not given) and solves its batches in
+    order.  Worker 0 runs on the calling thread, so ``workers=1`` starts no
+    thread at all.  Returns one ``(targets, solve_seconds)`` pair per batch,
+    in batch order: ``targets`` has shape ``(B, C, ny, nx)`` (per-power-layer
+    temperature maps, the dataset's regression targets) and
+    ``solve_seconds`` holds the amortised per-case wall-clock costs.  The
+    answers do not depend on ``workers``: every batch is the same
+    stacked-RHS solve against the same factorisation.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not batches:
+        return []
+    if geometry is None:
+        geometry = build_geometry(chip, nx=resolution, cells_per_layer=cells_per_layer)
+    workers = min(workers, len(batches))
+    results: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(batches)  # type: ignore[list-item]
+
+    def work(slot: int) -> None:
+        solver = FVMSolver(
+            chip,
+            nx=resolution,
+            cells_per_layer=cells_per_layer,
+            factorization=factorization,
+            geometry=geometry,
         )
-        for index, batch in enumerate(batches)
-    ]
-    if plane.synchronous:
-        # A synchronous plane runs each task inside submit(), so submitting
-        # lazily keeps the verbose progress lines interleaved with the work
-        # instead of all flushing after the last batch.
-        pending = ((batch, plane.submit(task)) for batch, task in zip(batches, tasks))
-    else:
-        pending = zip(batches, [plane.submit(task) for task in tasks])
+        for index in range(slot, len(batches), workers):
+            fields = solver.solve_batch(batches[index])
+            results[index] = (
+                np.stack([field.power_layer_maps() for field in fields]),
+                np.asarray([field.solve_seconds for field in fields], dtype=np.float64),
+            )
+
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="generate") as pool:
+        helpers = [pool.submit(work, slot) for slot in range(1, workers)]
+        work(0)
+        for helper in helpers:
+            helper.result()
+    return results
+
+
+def generate_dataset(
+    spec: DatasetSpec,
+    chip: Optional[ChipStack] = None,
+    verbose: bool = False,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    workers: int = 1,
+    geometry: Optional[GridGeometry] = None,
+) -> ThermalDataset:
+    """Generate a full dataset according to ``spec``.
+
+    The random number generator is seeded from ``spec.seed`` so the same spec
+    always produces the same dataset, which the caching layer and the
+    experiment harness rely on.  Cases are solved in batches of
+    ``batch_size`` right-hand sides against cached factorisations, dealt
+    across ``workers`` threads by :func:`solve_batches`; the dataset is
+    bitwise-identical for every ``workers`` value.
+
+    ``geometry`` optionally injects a pre-built voxelisation (the
+    multifidelity pair shares one across its two fidelities).
+    """
+    chip = chip or get_chip(spec.chip_name)
+    sampler, batches = draw_batches(spec, chip, batch_size)
+    solved = solve_batches(
+        chip,
+        spec.resolution,
+        [[case.assignment for case in batch] for batch in batches],
+        cells_per_layer=spec.cells_per_layer,
+        factorization=spec.factorization,
+        geometry=geometry,
+        workers=workers,
+    )
 
     inputs: List[np.ndarray] = []
     targets: List[np.ndarray] = []
     totals: List[float] = []
     solve_times: List[float] = []
     done = 0
-    for batch, future in pending:
-        batch_targets, batch_seconds = future.result()
+    for batch, (batch_targets, batch_seconds) in zip(batches, solved):
         for case, case_targets, case_seconds in zip(batch, batch_targets, batch_seconds):
             inputs.append(sampler.rasterize(case, spec.resolution, spec.resolution))
             targets.append(case_targets)
@@ -217,7 +247,7 @@ def generate_multifidelity_pair(
     cells_per_layer: int = 2,
     batch_size: int = DEFAULT_BATCH_SIZE,
     chip: Optional[ChipStack] = None,
-    plane: Optional[ExecutionPlane] = None,
+    workers: int = 1,
     share_geometry: bool = True,
     factorization: str = "auto",
 ) -> Tuple[ThermalDataset, ThermalDataset]:
@@ -227,8 +257,8 @@ def generate_multifidelity_pair(
     and fine-tunes on a small amount of high-resolution data (1,000 cases, a
     4:1 ratio).  The two datasets here use different seeds so the fine-tuning
     data is not a subset of the pre-training data.  Each dataset runs through
-    the batched solver path with its own cached factorisation, optionally
-    sharded across an execution ``plane``.
+    the batched solver path with its own cached factorisations, fanned out
+    over ``workers`` threads.
 
     When ``share_geometry`` is set and the high resolution is an integer
     multiple of the low, the chip is voxelised **once** at the high
@@ -257,7 +287,7 @@ def generate_multifidelity_pair(
         ),
         chip=chip,
         batch_size=batch_size,
-        plane=plane,
+        workers=workers,
         geometry=low_geometry,
     )
     high = generate_dataset(
@@ -271,7 +301,7 @@ def generate_multifidelity_pair(
         ),
         chip=chip,
         batch_size=batch_size,
-        plane=plane,
+        workers=workers,
         geometry=high_geometry,
     )
     return low, high

@@ -1,7 +1,7 @@
 """Typed telemetry events of the observability plane.
 
 Every notable incident in the serving stack — a request answered, a batch
-dispatched, a plane worker dying, a circuit breaker opening — is described
+dispatched, a queue saturating, a circuit breaker opening — is described
 by one small validated dataclass here and published onto the in-process
 :class:`~repro.obs.bus.EventBus`.  The wire surfaces (``GET /events``
 long-poll and SSE) serialise events with :meth:`TelemetryEvent.to_json`
@@ -28,8 +28,6 @@ EVENT_KINDS: Dict[str, Type["TelemetryEvent"]] = {}
 #: dashboard's scrolling alert row and ``/healthz``'s ``last_alert``).
 ALERT_KINDS = frozenset(
     {
-        "worker_dead",
-        "worker_retry",
         "breaker_transition",
         "queue_saturated",
         "throughput_flatlined",
@@ -62,8 +60,8 @@ class TelemetryEvent:
     ``seq`` (a monotonically increasing sequence number) and ``ts`` (wall
     clock seconds) are stamped by the :class:`~repro.obs.bus.EventBus` at
     publish time; emitters leave them zero.  ``source`` names the emitting
-    subsystem (``engine``, ``plane``, ``session``, ``watchdog``) so e.g. a
-    plane-observed worker death is distinguishable from the watchdog's
+    subsystem (``engine``, ``session``, ``watchdog``) so e.g. an
+    engine-observed queue saturation is distinguishable from the watchdog's
     rollup-derived alert for the same incident.
     """
 
@@ -122,40 +120,6 @@ class BatchDispatched(TelemetryEvent):
         _require_non_negative("batch_size", self.batch_size)
         _require_non_negative("queue_wait_ms", self.queue_wait_ms)
         _require_non_negative("solve_ms", self.solve_ms)
-
-
-@_register
-@dataclass
-class WorkerDead(TelemetryEvent):
-    """An execution-plane worker process exited unexpectedly.
-
-    ``slot`` is ``-1`` when the emitter only knows the count changed (the
-    watchdog observes rollups, not individual processes).
-    """
-
-    kind: ClassVar[str] = "worker_dead"
-    slot: int = -1
-    exit_code: Optional[int] = None
-    pending: int = 0
-
-    def __post_init__(self) -> None:
-        _require_non_negative("pending", self.pending)
-
-
-@_register
-@dataclass
-class WorkerRetry(TelemetryEvent):
-    """A task lost to a dead worker was queued for resubmission."""
-
-    kind: ClassVar[str] = "worker_retry"
-    slot: int = -1
-    attempts: int = 1
-    state_key: str = ""
-    reason: str = ""
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts!r}")
 
 
 @_register

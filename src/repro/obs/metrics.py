@@ -35,7 +35,6 @@ from repro.obs.events import (
     QueueSaturated,
     TelemetryEvent,
     ThroughputFlatlined,
-    WorkerDead,
 )
 
 #: Samples kept by a default :class:`MetricsStore` (at the default 1 s
@@ -183,13 +182,6 @@ class MetricsStore:
         if "queue_depth" in last:
             summary["queue_depth"] = last["queue_depth"]
             summary["queue_depth_max"] = max(row.get("queue_depth", 0.0) for row in rows)
-        if "workers_alive" in last:
-            summary["workers_alive"] = last["workers_alive"]
-            summary["workers_alive_min"] = min(
-                row.get("workers_alive", last["workers_alive"]) for row in rows
-            )
-        if "workers_dead" in last:
-            summary["workers_dead"] = last["workers_dead"]
         return summary
 
     def rows(self) -> Dict[str, Any]:
@@ -215,16 +207,12 @@ class MetricsStore:
 class Watchdog:
     """Turns consecutive metric samples into alert events on the bus.
 
-    Four rules, each edge-triggered (one event per incident, re-armed when
+    Three rules, each edge-triggered (one event per incident, re-armed when
     the condition clears):
 
     * **queue saturation** — queue depth at or past
       ``saturation_fraction`` of ``max_queue`` (re-armed below half the
       threshold),
-    * **dead worker** — ``workers_dead`` increased since the last sample
-      (the plane also emits a :class:`~repro.obs.events.WorkerDead` with
-      the exact slot; the watchdog's copy is the rollup-level alert and is
-      stamped ``source="watchdog"``),
     * **flatlined throughput** — requests are queued but
       ``requests_total`` has not moved for ``flatline_after_s`` seconds,
     * **breaker open** — a backend name appeared in the sample's
@@ -254,7 +242,6 @@ class Watchdog:
         self._clock = clock
         self._last_requests: Optional[float] = None
         self._progress_at: Optional[float] = None
-        self._last_workers_dead = 0.0
         self._open_breakers: set = set()
         self._saturated = False
         self._flatlined = False
@@ -269,7 +256,6 @@ class Watchdog:
         """Inspect one sample; publish and return any alert events fired."""
         fired: List[TelemetryEvent] = []
         fired.extend(self._check_queue(sample))
-        fired.extend(self._check_workers(sample))
         fired.extend(self._check_flatline(sample))
         fired.extend(self._check_breakers(sample))
         self._alerts += len(fired)
@@ -298,14 +284,6 @@ class Watchdog:
         if depth <= threshold / 2:
             self._saturated = False
         return []
-
-    def _check_workers(self, sample: Mapping[str, Any]) -> List[TelemetryEvent]:
-        dead = float(sample.get("workers_dead", 0) or 0)
-        fired: List[TelemetryEvent] = []
-        if dead > self._last_workers_dead:
-            fired.append(WorkerDead(source="watchdog", slot=-1, pending=0))
-        self._last_workers_dead = dead
-        return fired
 
     def _check_flatline(self, sample: Mapping[str, Any]) -> List[TelemetryEvent]:
         requests = sample.get("requests_total")

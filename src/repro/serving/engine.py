@@ -38,15 +38,11 @@ peak temperature crosses a threshold: near the thermal limits is exactly
 where surrogate error is least affordable, so those queries pay for the
 exact solver.
 
-Worker threads buy window overlap, not parallel compute: one group's
-batched back-substitution still holds a core while the GIL serialises the
-Python around it.  For true multi-core serving the session behind the
-backends is given an execution plane
-(:class:`~repro.runtime.plane.ProcessPlane`; ``repro-thermal serve --exec
-processes``): the sharded dispatcher threads keep doing the queueing,
-batching and priority work, but each group's batched solve that they
-dispatch runs on a warm-state worker *process*, so concurrent groups solve
-on separate cores.  Answers are bitwise-identical either way.
+Worker threads buy window overlap, not parallel compute: each group's
+batched solve runs inline in the dispatcher thread that formed it, and the
+GIL serialises the Python around the back-substitution.  Dispatching those
+solves to extra threads or worker processes was measured slower than
+inline on a 2-core host, so the engine keeps the one inline path.
 """
 
 from __future__ import annotations
@@ -60,11 +56,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.api import DeadlineExceeded
 from repro.obs.bus import EventBus, publish_all
 from repro.obs.events import BatchDispatched, QueueSaturated, RequestDone
 from repro.obs.metrics import LatencyReservoir
 from repro.obs.trace import build_trace, new_trace_id
-from repro.runtime.plane import DeadlineExceeded
 from repro.serving.backends import Backend
 from repro.serving.request import ThermalRequest, ThermalResult
 
@@ -377,7 +373,7 @@ class MicroBatchEngine:
         soon as the workers run (the tests use this to force determinate
         batch compositions).  Raises :class:`QueueFullError` when admission
         control rejects the request (``max_queue`` waiting already),
-        :class:`~repro.runtime.plane.DeadlineExceeded` when the request's
+        :class:`~repro.api.session.DeadlineExceeded` when the request's
         deadline already passed (counted as shed, never solved), and
         :class:`EngineStopped` once :meth:`stop` has begun.
         """
@@ -619,7 +615,7 @@ class MicroBatchEngine:
         """Fail the expired-while-queued requests; return the live remainder.
 
         A request whose deadline passed in the queue is *shed*: its future
-        fails with :class:`~repro.runtime.plane.DeadlineExceeded` and the
+        fails with :class:`~repro.api.session.DeadlineExceeded` and the
         backend never sees it — under overload, solver time goes to requests
         whose clients are still waiting for the answer.
         """

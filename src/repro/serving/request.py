@@ -64,6 +64,20 @@ def _resolve_chip(chip: Any, chips: Optional[Any]) -> ChipStack:
     return resolve_chip(by_lower[chip_name])
 
 
+def _validate_payload_types(payload: Mapping[str, Any]) -> None:
+    """Reject JSON field types that ``create`` would otherwise coerce.
+
+    ``bool("false")`` is ``True`` and a list request id would be echoed
+    back verbatim, so both must be a 400 at the HTTP boundary.
+    """
+    include_maps = payload.get("include_maps", False)
+    if not isinstance(include_maps, bool):
+        raise ValueError(f"'include_maps' must be a boolean, got {include_maps!r}")
+    request_id = payload.get("request_id")
+    if request_id is not None and not isinstance(request_id, str):
+        raise ValueError(f"'request_id' must be a string, got {request_id!r}")
+
+
 def _validate_resolution(resolution: Any) -> int:
     """Coerce and bound-check a grid resolution."""
     try:
@@ -86,7 +100,7 @@ def _validate_deadline_ms(deadline_ms: Any) -> Optional[float]:
     """Turn a relative ``deadline_ms`` budget into an absolute deadline.
 
     Returns ``time.monotonic() + deadline_ms / 1000`` — the clock every
-    deadline consumer (engine, planes, session) compares against — or
+    deadline consumer (engine, session) compares against — or
     ``None`` when no budget was given.
     """
     if deadline_ms is None:
@@ -233,6 +247,7 @@ class ThermalRequest:
             )
         if "chip" not in payload:
             raise ValueError("request is missing the required 'chip' field")
+        _validate_payload_types(payload)
         total_power = payload.get("total_power")
         if total_power is not None:
             try:
@@ -473,6 +488,7 @@ class TransientRequest:
         for required in ("chip", "duration_s", "dt_s"):
             if required not in payload:
                 raise ValueError(f"request is missing the required '{required}' field")
+        _validate_payload_types(payload)
         total_power = payload.get("total_power")
         if total_power is not None:
             try:

@@ -81,13 +81,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
 from repro import __version__
+from repro.api import DeadlineExceeded
 from repro.api.breaker import CircuitOpenError
 from repro.api.session import ThermalSession
 from repro.chip.designs import get_chip, list_chips
 from repro.data.power import error_message
 from repro.obs.promexport import render_prometheus
 from repro.obs.telemetry import Telemetry
-from repro.runtime.plane import DeadlineExceeded
 from repro.serving.backends import OperatorBackend
 from repro.serving.engine import EngineStopped, MicroBatchEngine, QueueFullError
 from repro.serving.request import ThermalRequest, TransientRequest
@@ -767,8 +767,8 @@ class ThermalServer:
             ),
             None,
         )
-        # Telemetry plane: one bus shared by the engine, the session (cache +
-        # breakers + plane) and the watchdog.  The engine may arrive with a
+        # Telemetry: one bus shared by the engine, the session (cache +
+        # breakers) and the watchdog.  The engine may arrive with a
         # bus already attached (tests do this); it then becomes the server's.
         self.telemetry = (
             telemetry
@@ -974,18 +974,17 @@ class ThermalServer:
     def warm_up(self, keys: List[Any]) -> Dict[str, Any]:
         """``POST /warm_up``: pre-factorize group keys through the session.
 
-        Delegates to :meth:`ThermalSession.warm_up` with a bounded timeout
-        so one poisoned key cannot park a handler thread forever.
+        Delegates to :meth:`ThermalSession.warm_up`, which builds each
+        key's adapter into the session pools and reports errors per key.
         """
-        return self.session.warm_up(keys, timeout=SOLVE_TIMEOUT_S)
+        return self.session.warm_up(keys)
 
     def generate_shard(self, payload: Dict[str, Any]) -> bytes:
         """``POST /generate``: solve one distributed-generation shard.
 
         Body: ``{"spec": {...DatasetSpec fields...}, "batch_size": N,
-        "shard": {"index": i, "count": n}}``.  Runs the shard's batches on
-        the session's execution plane (inline when none is configured) and
-        returns the ``.npz`` shard bytes.
+        "shard": {"index": i, "count": n}}``.  Solves the shard's batches
+        inline on the handler thread and returns the ``.npz`` shard bytes.
         """
         # Imported here, not at module level: the cluster package imports
         # the serving request models, and serving must stay importable
@@ -1006,25 +1005,18 @@ class ThermalServer:
             shard_count,
             batch_size=batch_size,
             chip=chip,
-            plane=self.session.plane,
         )
 
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
         """Liveness payload of ``GET /healthz``.
 
-        ``status`` is ``"ok"`` while every breaker is closed and every plane
-        worker lives, ``"degraded"`` otherwise — degraded still answers
-        (fallback chains and retries keep requests flowing), but operators
-        should look; ``open_breakers`` and ``plane_workers_dead`` say where.
+        ``status`` is ``"ok"`` while every breaker is closed, ``"degraded"``
+        otherwise — degraded still answers (fallback chains keep requests
+        flowing), but operators should look; ``open_breakers`` says where.
         """
-        open_breakers: list = []
-        workers_dead = 0
-        if self.session is not None:
-            open_breakers = self.session.open_breakers()
-            if self.session.plane is not None:
-                workers_dead = int(self.session.plane.stats().get("workers_dead", 0))
-        degraded = bool(open_breakers) or workers_dead > 0
+        open_breakers = self.session.open_breakers() if self.session is not None else []
+        degraded = bool(open_breakers)
         uptime = round(time.time() - self._started_at, 3)
         body: Dict[str, Any] = {
             "status": "degraded" if degraded else "ok",
@@ -1040,7 +1032,6 @@ class ThermalServer:
         body.update(self.telemetry.health())
         if degraded:
             body["open_breakers"] = open_breakers
-            body["plane_workers_dead"] = workers_dead
         return body
 
     def describe_chips(self) -> list:
@@ -1105,7 +1096,6 @@ class ThermalServer:
         latencies = [b.get("latency_ms") or {} for b in backends.values()]
         session = stats.get("session") or {}
         cache = session.get("result_cache") or {}
-        plane = session.get("plane") or {}
         reliability = session.get("reliability") or {}
         events = stats.get("events") or {}
         open_breakers = reliability.get("open_breakers") or []
@@ -1129,11 +1119,6 @@ class ThermalServer:
         }
         if self.engine.max_queue is not None:
             sample["max_queue"] = self.engine.max_queue
-        if plane:
-            workers = plane.get("workers", 0)
-            dead = plane.get("workers_dead", 0)
-            sample["workers_alive"] = max(workers - dead, 0)
-            sample["workers_dead"] = dead
         return sample
 
     # ------------------------------------------------------------------

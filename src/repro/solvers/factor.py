@@ -22,9 +22,8 @@ This module is the single selection point for that choice:
 
 Because the resolved kernel can change the last floating-point bits of a
 solution, everything that caches or shards on solver state (dataset cache
-keys, plane warm-state keys, session adapter pools) must key on the
-factorization choice — see :func:`repro.runtime.tasks.solver_state_key` and
-:meth:`repro.data.generation.DatasetSpec.cache_key`.
+keys, session adapter pools and result caches) must key on the
+factorization choice — see :meth:`repro.data.generation.DatasetSpec.cache_key`.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ def resolve_factorization(factorization: str) -> str:
     """The kernel a request actually runs: ``"cholmod"`` or ``"lu"``.
 
     Pure in ``(factorization, CHOLMOD_AVAILABLE)``: every process on one
-    host resolves a request identically, so plane workers and their parent
-    always agree on which kernel backs a warm-state key.
+    host resolves a request identically, so every replica and generation
+    thread agrees on which kernel a cache key names.
     """
     name = validate_factorization(factorization)
     if name in ("auto", "cholesky") and CHOLMOD_AVAILABLE:

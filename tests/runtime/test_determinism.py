@@ -1,167 +1,133 @@
-"""Determinism and shutdown guarantees of the multi-core execution plane.
+"""Bitwise determinism of dataset generation across its thread fan-out.
 
-The contract the tentpole refactor rests on: routing solver work through a
-:class:`~repro.runtime.plane.ProcessPlane` changes *where* the arithmetic
-runs, never *what* it produces — dataset generation and serving answers are
-bitwise-equal to the serial plane on fixed seeds — and worker processes
-never outlive their plane (context-manager exit, SIGINT).
+Generation deals its stacked-RHS batches round-robin to worker threads
+(:func:`repro.data.generation.solve_batches`), each owning one prepared
+solver built from a shared geometry.  The thread count changes *where* a
+batch is solved, never *what* it produces: every path below — threaded
+datasets, the multifidelity pair and fleet shards — must reproduce the seed
+pipeline (one solver, batches in order) bit for bit.
 """
 
-import os
-import signal
-import subprocess
 import sys
-import textwrap
-import time
 
 import numpy as np
 import pytest
 
-from repro.api.session import ThermalSession
-from repro.data.generation import DatasetSpec, generate_dataset
-from repro.runtime import ProcessPlane, SerialPlane
-from repro.serving.backends import build_backends
-from repro.serving.engine import MicroBatchEngine
-from repro.serving.request import ThermalRequest
+from repro.chip.designs import get_chip
+from repro.cluster.fleetgen import generate_shard, merge_shards
+from repro.data.generation import (
+    DatasetSpec,
+    generate_dataset,
+    generate_multifidelity_pair,
+    solve_batches,
+)
+from repro.data.power import PowerSampler
+from repro.solvers.fvm import FVMSolver
 
 RES = 10
 SPEC = DatasetSpec(chip_name="chip1", resolution=RES, num_samples=12, seed=5)
 
-_SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+#: 13 cases in batches of 3 make 5 batches, which neither 2 nor 3 workers divide.
+ODD_SPEC = DatasetSpec(chip_name="chip1", resolution=RES, num_samples=13, seed=7)
+ODD_BATCH = 3
 
 
-@pytest.fixture(scope="module")
-def process_plane():
-    with ProcessPlane(workers=2) as plane:
-        yield plane
+def _seed_pipeline(spec, batch_size):
+    """The seed generation loop: one solver, stacked-RHS batches, in order."""
+    chip = get_chip(spec.chip_name)
+    rng = np.random.default_rng(spec.seed)
+    sampler = PowerSampler(
+        chip, core_bias=spec.core_bias, idle_probability=spec.idle_probability
+    )
+    solver = FVMSolver(chip, nx=spec.resolution, cells_per_layer=spec.cells_per_layer)
+    cases = sampler.sample_many(spec.num_samples, rng)
+    inputs, targets = [], []
+    for start in range(0, spec.num_samples, batch_size):
+        batch = cases[start:start + batch_size]
+        fields = solver.solve_batch([case.assignment for case in batch])
+        for case, field in zip(batch, fields):
+            inputs.append(sampler.rasterize(case, solver.nx, solver.ny))
+            targets.append(field.power_layer_maps())
+    return np.stack(inputs), np.stack(targets)
+
+
+def _assert_same_dataset(a, b):
+    assert np.array_equal(a.inputs, b.inputs)
+    assert np.array_equal(a.targets, b.targets)
+    assert np.array_equal(a.metadata["total_power_W"], b.metadata["total_power_W"])
 
 
 class TestBitwiseDeterminism:
-    def test_dataset_generation_matches_serial(self, process_plane):
-        serial = generate_dataset(SPEC, batch_size=4, plane=SerialPlane())
-        sharded = generate_dataset(SPEC, batch_size=4, plane=process_plane)
-        assert np.array_equal(serial.inputs, sharded.inputs)
-        assert np.array_equal(serial.targets, sharded.targets)
-        assert np.array_equal(
-            serial.metadata["total_power_W"], sharded.metadata["total_power_W"]
-        )
+    def test_dataset_generation_matches_serial(self):
+        serial = generate_dataset(SPEC, batch_size=4)
+        threaded = generate_dataset(SPEC, batch_size=4, workers=2)
+        _assert_same_dataset(serial, threaded)
 
-    def test_session_solve_batch_matches_inline(self, process_plane):
-        powers = [30.0 + index for index in range(8)]
-        inline = ThermalSession().solve_batch(
-            "chip1", powers, resolution=RES, include_maps=True, use_cache=False
-        )
-        planar = ThermalSession(plane=process_plane).solve_batch(
-            "chip1", powers, resolution=RES, include_maps=True, use_cache=False
-        )
-        for a, b in zip(inline, planar):
-            assert a.max_K == b.max_K and a.min_K == b.min_K and a.mean_K == b.mean_K
-            for name in a.layer_maps:
-                assert np.array_equal(a.layer_maps[name], b.layer_maps[name])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_threaded_generation_matches_seed_pipeline(self, workers):
+        dataset = generate_dataset(ODD_SPEC, batch_size=ODD_BATCH, workers=workers)
+        inputs, targets = _seed_pipeline(ODD_SPEC, ODD_BATCH)
+        assert np.array_equal(dataset.inputs, inputs)
+        assert np.array_equal(dataset.targets, targets)
 
-    def test_serving_answers_match_serial_engine(self, process_plane):
-        def answers(session):
-            engine = MicroBatchEngine(
-                build_backends(session=session), workers=2, max_wait_ms=1.0
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_multifidelity_pair_with_shared_geometry(self, workers):
+        def pair(workers):
+            return generate_multifidelity_pair(
+                "chip1", RES, 2 * RES, num_low=7, num_high=5, batch_size=2,
+                workers=workers,
             )
-            with engine:
-                requests = [
-                    ThermalRequest.create(chip, total_power_W=40.0 + index, resolution=RES)
-                    for index, chip in enumerate(("chip1", "chip2", "chip1", "chip2"))
-                ]
-                return engine.solve_many(requests, timeout=300)
 
-        serial_answers = answers(ThermalSession())
-        planar_answers = answers(ThermalSession(plane=process_plane))
-        for a, b in zip(serial_answers, planar_answers):
-            assert (a.max_K, a.min_K, a.mean_K) == (b.max_K, b.min_K, b.mean_K)
+        for inline, threaded in zip(pair(1), pair(workers)):
+            _assert_same_dataset(inline, threaded)
+
+    def test_shards_merge_to_single_host_dataset(self):
+        blobs = [generate_shard(ODD_SPEC, index, 2, batch_size=ODD_BATCH) for index in range(2)]
+        merged = merge_shards(ODD_SPEC, blobs, batch_size=ODD_BATCH)
+        _assert_same_dataset(merged, generate_dataset(ODD_SPEC, batch_size=ODD_BATCH))
+
+
+class TestSolveBatches:
+    @pytest.mark.parametrize("workers", [1, 3], ids=["one_worker", "threads"])
+    def test_results_come_back_in_batch_order(self, workers):
+        chip = get_chip("chip1")
+        batches = [[{"core_layer/Core": float(watts)}] for watts in (10, 40, 20, 30, 50)]
+        solved = solve_batches(chip, RES, batches, workers=workers)
+        peaks = [float(targets.max()) for targets, _ in solved]
+        inline = [float(t.max()) for t, _ in solve_batches(chip, RES, batches)]
+        assert peaks == inline
+        assert np.argsort(peaks).tolist() == [0, 2, 3, 1, 4]
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self):
+        chip = get_chip("chip1")
+        batches = [[{"core_layer/Core": 5.0 + index}] for index in range(24)]
+        inline = solve_batches(chip, RES, batches)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = solve_batches(chip, RES, batches, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == len(batches)
+        for (a, _), (b, _) in zip(inline, threaded):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["one_worker", "threads"])
+    def test_worker_thread_errors_reach_the_caller(self, workers):
+        batches = [[{"core_layer/Core": 10.0}], [{"bogus/block": 1.0}]]
+        with pytest.raises(KeyError, match="bogus"):
+            solve_batches(get_chip("chip1"), RES, batches, workers=workers)
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers"):
+            solve_batches(get_chip("chip1"), RES, [[{"core_layer/Core": 1.0}]], workers=0)
 
 
 class TestSeedEquivalence:
-    def test_serial_plane_matches_historical_pipeline(self):
-        """The plane refactor's serial default reproduces the pre-plane loop
-        (sample up front, stacked-RHS batches against one factorisation)."""
-        from repro.data.power import PowerSampler
-        from repro.chip.designs import get_chip
-        from repro.solvers.fvm import FVMSolver
-
-        chip = get_chip(SPEC.chip_name)
-        rng = np.random.default_rng(SPEC.seed)
-        sampler = PowerSampler(
-            chip,
-            core_bias=SPEC.core_bias,
-            idle_probability=SPEC.idle_probability,
-        )
-        solver = FVMSolver(chip, nx=SPEC.resolution, cells_per_layer=SPEC.cells_per_layer)
-        cases = sampler.sample_many(SPEC.num_samples, rng)
-        inputs, targets = [], []
-        for start in range(0, SPEC.num_samples, 4):
-            batch = cases[start:start + 4]
-            fields = solver.solve_batch([case.assignment for case in batch])
-            for case, field in zip(batch, fields):
-                inputs.append(sampler.rasterize(case, solver.nx, solver.ny))
-                targets.append(field.power_layer_maps())
-
+    def test_generation_matches_historical_pipeline(self):
+        """generate_dataset reproduces the seed loop (sample up front,
+        stacked-RHS batches against one factorisation)."""
         dataset = generate_dataset(SPEC, batch_size=4)
-        assert np.array_equal(dataset.inputs, np.stack(inputs))
-        assert np.array_equal(dataset.targets, np.stack(targets))
-
-
-class TestCleanShutdown:
-    def test_sigint_kills_workers_and_exits_zero(self, tmp_path):
-        """A process running a plane exits 0 on SIGINT with no orphans."""
-        script = tmp_path / "plane_sigint.py"
-        script.write_text(textwrap.dedent("""
-            import sys, time
-            from repro.runtime import ProcessPlane, PlaneTask
-            from repro.runtime.tasks import ping
-
-            def main():
-                plane = ProcessPlane(workers=2)
-                try:
-                    plane.run_all([PlaneTask(fn=ping, payload=i) for i in range(2)],
-                                  timeout=120)
-                    print("READY", " ".join(map(str, plane.worker_pids())), flush=True)
-                    while True:
-                        time.sleep(0.1)
-                except KeyboardInterrupt:
-                    plane.close()
-                    print("CLOSED", flush=True)
-
-            if __name__ == "__main__":
-                main()
-        """))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, str(script)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
-        try:
-            line = process.stdout.readline()
-            assert line.startswith("READY"), f"unexpected first line: {line!r}"
-            worker_pids = [int(token) for token in line.split()[1:]]
-            assert len(worker_pids) == 2
-            process.send_signal(signal.SIGINT)
-            out = process.communicate(timeout=60)[0]
-            assert process.returncode == 0, out
-            assert "CLOSED" in out
-            deadline = time.time() + 10.0
-            while time.time() < deadline and any(_alive(p) for p in worker_pids):
-                time.sleep(0.1)
-            assert all(not _alive(pid) for pid in worker_pids)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
-
-
-def _alive(pid):
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().split(")")[-1].split()[0] != "Z"
-    except OSError:
-        return False
+        inputs, targets = _seed_pipeline(SPEC, 4)
+        assert np.array_equal(dataset.inputs, inputs)
+        assert np.array_equal(dataset.targets, targets)

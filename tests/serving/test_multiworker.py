@@ -289,6 +289,10 @@ class TestTransientEndpoint:
             {"chip": "chip1", "duration_s": 1e400, "dt_s": 1.0, "total_power": 10},
             {"chip": "chip1", "duration_s": 0.1, "dt_s": 0.01, "total_power": 10,
              "resolution": 1e400},
+            {"chip": "chip1", "duration_s": 0.1, "dt_s": 0.01, "total_power": 10,
+             "include_maps": "false"},  # not a JSON boolean
+            {"chip": "chip1", "duration_s": 0.1, "dt_s": 0.01, "total_power": 10,
+             "request_id": ["x"]},  # not a JSON string
         ]
         for body in cases:
             status, answer = _post(server.url + "/solve_transient", body)

@@ -224,6 +224,10 @@ class TestSolveEndpoint:
             {"chip": "chip1", "powers": {"bogus/block": 1.0}},
             {"chip": "chip1", "powers": {"core_layer/Core": -5.0}},
             {"chip": "chip1", "resolution": 2, "total_power": 10},
+            {"chip": "chip1", "include_maps": "false"},  # not a JSON boolean
+            {"chip": "chip1", "include_maps": 1},
+            {"chip": "chip1", "request_id": ["x"]},  # not a JSON string
+            {"chip": "chip1", "request_id": {"a": 1}},
         ]
         for body in cases:
             status, answer = _post(server.url + "/solve", body)

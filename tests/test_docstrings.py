@@ -2,9 +2,10 @@
 
 A ``pydocstyle``-flavoured guard without the dependency: every public module,
 class, function, method and property in :mod:`repro.api`,
-:mod:`repro.serving` and :mod:`repro.runtime` must carry a non-empty
-docstring.  The facade, the service and the execution planes are the
-surfaces other people program against; an undocumented symbol there is a
+:mod:`repro.serving`, :mod:`repro.runtime`, :mod:`repro.obs` and
+:mod:`repro.cluster` must carry a non-empty docstring.  The facade, the
+service, its fault injection, telemetry and the fleet are the surfaces
+other people program against; an undocumented symbol there is a
 bug the same way a missing validation is.
 """
 
@@ -81,8 +82,8 @@ def test_audited_packages_are_the_expected_ones():
     assert "repro.api.pool" in names
     assert "repro.serving.engine" in names
     assert "repro.serving.server" in names
-    assert "repro.runtime.plane" in names
-    assert "repro.runtime.tasks" in names
+    assert "repro.runtime.faults" in names
+    assert "repro.cluster.fleetgen" in names
     assert "repro.obs.bus" in names
     assert "repro.obs.metrics" in names
     assert "repro.cluster.router" in names
@@ -92,7 +93,7 @@ def test_audited_packages_are_the_expected_ones():
 def test_every_public_symbol_has_a_docstring():
     missing = _missing_docstrings()
     assert not missing, (
-        "public symbols without docstrings in repro.api / repro.serving:\n  "
+        "public symbols without docstrings in the audited packages:\n  "
         + "\n  ".join(missing)
     )
 
