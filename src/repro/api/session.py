@@ -82,7 +82,6 @@ from repro.operators.factory import (
 )
 from repro.operators.gar import GARRegressor
 from repro.runtime.faults import FaultPlan
-from repro.solvers.factor import validate_factorization
 from repro.solvers.hotspot import HotSpotModel
 from repro.solvers.transient import PowerTrace
 from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
@@ -265,12 +264,6 @@ class ThermalSession:
     cells_per_layer:
         Vertical discretisation used by the field solvers this session
         builds.
-    factorization:
-        SPD kernel choice (``"auto"``/``"cholesky"``/``"lu"``, see
-        :mod:`repro.solvers.factor`) for every field solver this session
-        builds — pooled fvm/transient adapters and dataset generation both
-        inherit it.  Adapter pools key on it, so two sessions sharing knobs
-        but differing here never share a warm factorisation.
     result_cache_size:
         Memoised answers kept in the result cache.
     result_cache_max_bytes:
@@ -309,7 +302,6 @@ class ThermalSession:
         self,
         pool_size: int = DEFAULT_POOL_SIZE,
         cells_per_layer: int = 2,
-        factorization: str = "auto",
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         result_cache_max_bytes: int = DEFAULT_RESULT_CACHE_BYTES,
         result_cache_ttl_s: Optional[float] = None,
@@ -322,7 +314,6 @@ class ThermalSession:
         faults: Optional[FaultPlan] = None,
     ):
         self.cells_per_layer = cells_per_layer
-        self.factorization = validate_factorization(factorization)
         self.operator_batch_size = operator_batch_size
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
@@ -520,19 +511,12 @@ class ThermalSession:
         """
         chip_stack = self._resolve_chip(chip)
         resolution = int(resolution)
-        # The factorization knob rides in the pool key so adapters warmed
-        # under one kernel request are never handed to a session configured
-        # for another (pools may be shared through a shared ModelRegistry
-        # or cloned sessions).
-        key = (chip_stack.name, resolution, self.factorization)
+        key = (chip_stack.name, resolution)
         if name == "fvm":
             return self._pools["fvm"].get(
                 key,
                 lambda: FVMBackendAdapter(
-                    chip_stack,
-                    resolution,
-                    cells_per_layer=self.cells_per_layer,
-                    factorization=self.factorization,
+                    chip_stack, resolution, cells_per_layer=self.cells_per_layer
                 ).prepare(),
             )
         if name == "hotspot":
@@ -547,10 +531,7 @@ class ThermalSession:
             return self._pools["transient"].get(
                 key,
                 lambda: TransientBackendAdapter(
-                    chip_stack,
-                    resolution,
-                    cells_per_layer=self.cells_per_layer,
-                    factorization=self.factorization,
+                    chip_stack, resolution, cells_per_layer=self.cells_per_layer
                 ),
             )
         if name == "operator":
@@ -668,9 +649,6 @@ class ThermalSession:
                     chip_stack.name,
                     resolution,
                     backend,
-                    # Kernel hygiene: a shared/injected ResultCache must never
-                    # serve an answer produced under another factorization.
-                    self.factorization,
                     power_map_hash(assignment),
                     detail,
                 )
@@ -1065,7 +1043,6 @@ class ThermalSession:
             num_samples=int(num_samples),
             seed=seed,
             cells_per_layer=self.cells_per_layer,
-            factorization=self.factorization,
             **spec_options,
         )
         return _generate_dataset(
@@ -1200,7 +1177,6 @@ class ThermalSession:
             "backends": list(BACKEND_NAMES),
             "models": self.models.describe(),
             "cells_per_layer": self.cells_per_layer,
-            "factorization": self.factorization,
         }
 
     def stats(self) -> Dict[str, Any]:

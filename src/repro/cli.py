@@ -62,7 +62,7 @@ from repro.chip.designs import get_chip, list_chips
 from repro.data.dataset import ThermalDataset
 from repro.data.generation import DEFAULT_BATCH_SIZE
 from repro.data.power import error_message, parse_power_spec
-from repro.solvers.factor import FACTORIZATION_CHOICES, resolve_factorization
+from repro.solvers.factor import resolve_factorization
 from repro.evaluation.reporting import ascii_heatmap, format_table
 from repro.operators.factory import OPERATOR_REGISTRY
 from repro.training.trainer import TrainingConfig
@@ -84,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--samples", type=int, default=64)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-                          help="power cases solved per batched factorization pass")
+                          help="power cases solved per stacked-RHS back-substitution")
     generate.add_argument("--exec-workers", type=int, default=1, metavar="N",
                           help="threads solving the batches, each with its own "
-                               "warm factorization (default: 1, inline); the "
+                               "warm factorisation (default: 1, inline); the "
                                "output is bitwise-identical for every N")
     generate.add_argument("--fleet", default=None, metavar="ROUTER_URL",
                           help="generate through a fleet router instead of "
@@ -98,13 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--shards", type=int, default=None, metavar="N",
                           help="with --fleet: number of shards (default: one "
                                "per healthy replica)")
-    generate.add_argument("--factorization", default="auto",
-                          choices=list(FACTORIZATION_CHOICES),
-                          help="SPD kernel factorizing the conduction system: "
-                               "'auto' (CHOLMOD Cholesky when installed, "
-                               "sparse LU otherwise), 'cholesky' (CHOLMOD, "
-                               "falling back to the identical LU call when "
-                               "absent) or 'lu'")
     generate.add_argument("--output", required=True, help="output .npz path")
 
     train = subparsers.add_parser("train", help="train an operator on a generated dataset")
@@ -134,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniformly distributed total power in watts")
     solve.add_argument("--powers", type=str, default=None,
                        help="JSON mapping of 'layer/block' to watts")
-    solve.add_argument("--factorization", default="auto",
-                       choices=list(FACTORIZATION_CHOICES),
-                       help="SPD kernel for the field solvers (see 'generate')")
     solve.add_argument("--heatmap", action="store_true", help="print ASCII heat maps per layer")
 
     serve = subparsers.add_parser(
@@ -197,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="telemetry sampler period feeding /metrics/history "
                             "and the watchdog (default: 1.0)")
-    serve.add_argument("--factorization", default="auto",
-                       choices=list(FACTORIZATION_CHOICES),
-                       help="SPD kernel for the field solvers (see 'generate')")
 
     route = subparsers.add_parser(
         "route", help="run the fleet router in front of N serve replicas"
@@ -278,7 +265,7 @@ def _cmd_chips(_args) -> int:
 def _cmd_generate(args) -> int:
     if args.fleet:
         return _generate_fleet(args)
-    session = ThermalSession(factorization=args.factorization)
+    session = ThermalSession()
     where = f" on {args.exec_workers} threads" if args.exec_workers > 1 else ""
     print(f"generating {args.samples} cases for {args.chip} "
           f"at {args.resolution}x{args.resolution}{where} ...")
@@ -314,7 +301,6 @@ def _generate_fleet(args) -> int:
         resolution=args.resolution,
         num_samples=args.samples,
         seed=args.seed,
-        factorization=args.factorization,
     )
     print(f"generating {args.samples} cases for {args.chip} "
           f"at {args.resolution}x{args.resolution} via fleet {args.fleet} ...")
@@ -382,7 +368,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    session = ThermalSession(factorization=args.factorization)
+    session = ThermalSession()
     chip = session.get_chip(args.chip)
     try:
         assignment = parse_power_spec(
@@ -469,7 +455,6 @@ def _cmd_serve(args) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         faults=faults,
-        factorization=args.factorization,
     )
     for path in args.models:
         _load_model(session, path)
@@ -491,8 +476,7 @@ def _cmd_serve(args) -> int:
           + (f" ({len(args.models)} operator model(s) loaded)" if args.models else ""))
     print(f"  workers: {args.workers}"
           + (f" · max queue: {args.max_queue}" if args.max_queue else ""))
-    print(f"  solver kernel: {resolve_factorization(args.factorization)} "
-          f"(requested: {args.factorization})")
+    print(f"  solver kernel: {resolve_factorization('auto')}")
     if args.fallback or faults is not None:
         print("  reliability: "
               + ("fallback on" if args.fallback else "fallback off")

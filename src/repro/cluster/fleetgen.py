@@ -54,7 +54,6 @@ def spec_to_payload(spec: DatasetSpec) -> Dict[str, Any]:
         "num_samples": spec.num_samples,
         "seed": spec.seed,
         "cells_per_layer": spec.cells_per_layer,
-        "factorization": spec.factorization,
         "core_bias": spec.core_bias,
         "idle_probability": spec.idle_probability,
         "total_power_range_W": (
@@ -74,7 +73,6 @@ def spec_from_payload(payload: Dict[str, Any]) -> DatasetSpec:
         num_samples=int(payload["num_samples"]),
         seed=int(payload.get("seed", 0)),
         cells_per_layer=int(payload.get("cells_per_layer", 2)),
-        factorization=str(payload.get("factorization", "auto")),
         core_bias=float(payload.get("core_bias", 3.0)),
         idle_probability=float(payload.get("idle_probability", 0.15)),
         total_power_range_W=(
@@ -110,7 +108,6 @@ def generate_shard(
         spec.resolution,
         [[case.assignment for case in batches[index]] for index in mine],
         cells_per_layer=spec.cells_per_layer,
-        factorization=spec.factorization,
     )
     arrays: Dict[str, np.ndarray] = {}
     for index, (batch_targets, batch_seconds) in zip(mine, solved):

@@ -162,7 +162,7 @@ class Membership:
                     continue
                 self._transition(replica, WARMING)
             # Warm-up runs outside the lock: it POSTs to the replica and
-            # may take factorization time; probing must not block traffic.
+            # may take factorisation time; probing must not block traffic.
             admitted = True
             if self.on_recover is not None:
                 try:

@@ -52,27 +52,23 @@ class DatasetSpec:
     core_bias: float = 3.0
     idle_probability: float = 0.15
     total_power_range_W: Optional[Tuple[float, float]] = None
-    #: SPD kernel request forwarded to the solver (see
-    #: :mod:`repro.solvers.factor`).  The cache key embeds the *resolved*
-    #: kernel, so an "auto" spec regenerates when CHOLMOD (dis)appears.
-    factorization: str = "auto"
 
     def cache_key(self) -> str:
         """A filesystem-safe identifier for caching.
 
         Embeds the solver pipeline version so cached datasets regenerate
-        whenever the solver changes, and the **resolved** factorization
-        kernel (``cholmod``/``lu``, not the request) so a dataset generated
-        under one kernel is never served to a host resolving to another —
-        the kernels agree only to ~1e-9 K, and cached bits must name what
-        produced them.
+        whenever the solver changes, and the SPD kernel this host's solver
+        resolves to (``cholmod``/``lu``, see :mod:`repro.solvers.factor`) so
+        a dataset generated under one kernel is never served to a host
+        resolving to another — the kernels agree only to ~1e-9 K, and
+        cached bits must name what produced them.
         """
         power = (
             "default"
             if self.total_power_range_W is None
             else f"{self.total_power_range_W[0]:g}-{self.total_power_range_W[1]:g}"
         )
-        kernel = resolve_factorization(self.factorization)
+        kernel = resolve_factorization("auto")
         return (
             f"{self.chip_name}_r{self.resolution}_n{self.num_samples}_s{self.seed}"
             f"_c{self.cells_per_layer}_b{self.core_bias:g}_i{self.idle_probability:g}_p{power}"
@@ -129,7 +125,6 @@ def solve_batches(
     batches: Sequence[Sequence[Mapping[str, float]]],
     *,
     cells_per_layer: int = 2,
-    factorization: str = "auto",
     geometry: Optional[GridGeometry] = None,
     workers: int = 1,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -157,11 +152,7 @@ def solve_batches(
 
     def work(slot: int) -> None:
         solver = FVMSolver(
-            chip,
-            nx=resolution,
-            cells_per_layer=cells_per_layer,
-            factorization=factorization,
-            geometry=geometry,
+            chip, nx=resolution, cells_per_layer=cells_per_layer, geometry=geometry
         )
         for index in range(slot, len(batches), workers):
             fields = solver.solve_batch(batches[index])
@@ -205,7 +196,6 @@ def generate_dataset(
         spec.resolution,
         [[case.assignment for case in batch] for batch in batches],
         cells_per_layer=spec.cells_per_layer,
-        factorization=spec.factorization,
         geometry=geometry,
         workers=workers,
     )
@@ -249,7 +239,6 @@ def generate_multifidelity_pair(
     chip: Optional[ChipStack] = None,
     workers: int = 1,
     share_geometry: bool = True,
-    factorization: str = "auto",
 ) -> Tuple[ThermalDataset, ThermalDataset]:
     """Generate the low-fidelity / high-fidelity dataset pair for transfer learning.
 
@@ -283,7 +272,6 @@ def generate_multifidelity_pair(
             num_samples=num_low,
             seed=seed,
             cells_per_layer=cells_per_layer,
-            factorization=factorization,
         ),
         chip=chip,
         batch_size=batch_size,
@@ -297,7 +285,6 @@ def generate_multifidelity_pair(
             num_samples=num_high,
             seed=seed + 1,
             cells_per_layer=cells_per_layer,
-            factorization=factorization,
         ),
         chip=chip,
         batch_size=batch_size,

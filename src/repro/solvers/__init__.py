@@ -14,19 +14,11 @@
 from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry, voxelize
 from repro.solvers.factor import (
     CHOLMOD_AVAILABLE,
-    FACTORIZATION_CHOICES,
     SPDFactor,
     factorize,
     resolve_factorization,
-    validate_factorization,
 )
-from repro.solvers.fvm import (
-    FLOAT32_REFINED_BOUND_K,
-    FLOAT32_SINGLE_SWEEP_BOUND_K,
-    FVMSolver,
-    SOLVER_VERSION,
-    TemperatureField,
-)
+from repro.solvers.fvm import FVMSolver, SOLVER_VERSION, TemperatureField
 from repro.solvers.hotspot import HotSpotModel, BlockTemperatures
 from repro.solvers.analytic import slab_1d_robin, poisson_2d_dirichlet_series
 from repro.solvers.transient import TransientFVMSolver, TransientResult
@@ -37,13 +29,9 @@ __all__ = [
     "build_geometry",
     "voxelize",
     "CHOLMOD_AVAILABLE",
-    "FACTORIZATION_CHOICES",
     "SPDFactor",
     "factorize",
     "resolve_factorization",
-    "validate_factorization",
-    "FLOAT32_REFINED_BOUND_K",
-    "FLOAT32_SINGLE_SWEEP_BOUND_K",
     "FVMSolver",
     "SOLVER_VERSION",
     "TemperatureField",

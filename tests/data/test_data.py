@@ -198,6 +198,17 @@ class TestGeneration:
         fine = DatasetSpec("chip1", 16, 4, seed=0, cells_per_layer=3)
         assert fine.cache_key() != spec.cache_key()
 
+    def test_cache_keys_are_stable(self):
+        """Keys of existing cached datasets must keep resolving to them."""
+        from repro.solvers.factor import CHOLMOD_AVAILABLE
+
+        kernel = "cholmod" if CHOLMOD_AVAILABLE else "lu"
+        assert DatasetSpec("chip1", 32, 64).cache_key() == (
+            f"chip1_r32_n64_s0_c2_b3_i0.15_pdefault_k{kernel}_v3"
+        )
+        spec = DatasetSpec("chip2", 48, 16, seed=3, total_power_range_W=(10.0, 40.0))
+        assert spec.cache_key() == f"chip2_r48_n16_s3_c2_b3_i0.15_p10-40_k{kernel}_v3"
+
     def test_generate_dataset_batch_size_invariant(self):
         spec = DatasetSpec(chip_name="chip1", resolution=10, num_samples=5, seed=3)
         small_batches = generate_dataset(spec, batch_size=2)

@@ -73,13 +73,6 @@ class TestSolveBatch:
             cold = FVMSolver(tiny_chip, nx=10).solve(case.assignment)
             np.testing.assert_allclose(batched.values, cold.values, atol=1e-9, rtol=0)
 
-    def test_cg_batch_matches_direct(self, tiny_chip, cases):
-        assignments = [case.assignment for case in cases]
-        direct = FVMSolver(tiny_chip, nx=10, method="direct").solve_batch(assignments)
-        cg = FVMSolver(tiny_chip, nx=10, method="cg").solve_batch(assignments)
-        for a, b in zip(direct, cg):
-            np.testing.assert_allclose(a.values, b.values, rtol=1e-6)
-
     def test_empty_batch(self, tiny_chip):
         assert FVMSolver(tiny_chip, nx=8).solve_batch([]) == []
 
