@@ -9,6 +9,7 @@ the substrates; the cached-vs-cold pair reports the amortised speedup the
 prepare-once / solve-many refactor buys dataset generation.
 """
 
+import os
 import time
 
 import numpy as np
@@ -179,6 +180,8 @@ def test_operator_forward(benchmark, name, factory):
     x = np.random.default_rng(0).standard_normal((1, 2, 40, 40)).astype(np.float32)
     out = benchmark(lambda: model.predict(x))
     assert out.shape == (1, 2, 40, 40)
+    assert out.dtype == np.float32
+    benchmark.extra_info["cpu_count"] = os.cpu_count()
 
 
 def test_sau_fno_training_step(benchmark):
@@ -198,3 +201,5 @@ def test_sau_fno_training_step(benchmark):
 
     loss = benchmark(step)
     assert np.isfinite(loss)
+    assert all(p.grad.dtype == np.float32 for p in model.parameters())
+    benchmark.extra_info["cpu_count"] = os.cpu_count()

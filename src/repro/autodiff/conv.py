@@ -3,12 +3,14 @@
 The convolution is implemented with the im2col/col2im strategy: the input is
 unfolded into patch columns, the convolution becomes a single matrix
 multiplication, and the backward pass scatters gradients back through the
-same unfolding.  This keeps the implementation short, exact and fast enough
-for the grid sizes used in 3D-IC thermal surrogates.
+same unfolding.  All three products (forward, weight gradient, input
+gradient) are batched ``np.matmul`` calls, so they run on BLAS at the
+tensor's own dtype.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -32,7 +34,10 @@ def _im2col(
     sh, sw = stride
     ph, pw = padding
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        batch, channels, height, width = x.shape
+        padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph:ph + height, pw:pw + width] = x
+        x = padded
     batch, channels, height, width = x.shape
     out_h = (height - kh) // sh + 1
     out_w = (width - kw) // sw + 1
@@ -89,7 +94,7 @@ def conv2d(
 
     cols, (out_h, out_w) = _im2col(x.data, (kh, kw), stride_pair, padding_pair)
     w_mat = weight.data.reshape(out_channels, in_channels * kh * kw)
-    out = np.einsum("ok,bkn->bon", w_mat, cols)
+    out = np.matmul(w_mat, cols)  # (O, K) @ (B, K, N) -> (B, O, N)
     out = out.reshape(x.shape[0], out_channels, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, out_channels, 1, 1)
@@ -99,12 +104,12 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(x.shape[0], out_channels, out_h * out_w)
         if weight.requires_grad:
-            grad_w = np.einsum("bon,bkn->ok", grad_mat, cols)
+            grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(bias.shape))
         if x.requires_grad:
-            grad_cols = np.einsum("ok,bon->bkn", w_mat, grad_mat)
+            grad_cols = np.matmul(w_mat.T, grad_mat)
             grad_x = _col2im(
                 grad_cols, x.shape, (kh, kw), stride_pair, padding_pair, (out_h, out_w)
             )
@@ -168,25 +173,29 @@ def avg_pool2d(x: Tensor, kernel_size: IntPair = 2, stride: Optional[IntPair] = 
     return Tensor._make(np.ascontiguousarray(out), (x,), backward)
 
 
+@functools.lru_cache(maxsize=256)
 def _interp_matrix(out_size: int, in_size: int, dtype) -> np.ndarray:
     """Bilinear interpolation matrix mapping a length-``in_size`` signal to ``out_size``.
 
     Uses the ``align_corners=False`` convention (pixel centres), matching the
-    behaviour of common deep-learning frameworks.
+    behaviour of common deep-learning frameworks.  Matrices are cached per
+    ``(out_size, in_size, dtype)`` and returned read-only, since every caller
+    shares the same array.
     """
     matrix = np.zeros((out_size, in_size), dtype=dtype)
     if in_size == 1:
         matrix[:, 0] = 1.0
-        return matrix
-    scale = in_size / out_size
-    for i in range(out_size):
-        src = (i + 0.5) * scale - 0.5
-        src = min(max(src, 0.0), in_size - 1.0)
-        low = int(np.floor(src))
-        high = min(low + 1, in_size - 1)
-        frac = src - low
-        matrix[i, low] += 1.0 - frac
-        matrix[i, high] += frac
+    else:
+        scale = in_size / out_size
+        for i in range(out_size):
+            src = (i + 0.5) * scale - 0.5
+            src = min(max(src, 0.0), in_size - 1.0)
+            low = int(np.floor(src))
+            high = min(low + 1, in_size - 1)
+            frac = src - low
+            matrix[i, low] += 1.0 - frac
+            matrix[i, high] += frac
+    matrix.flags.writeable = False
     return matrix
 
 
@@ -197,12 +206,12 @@ def bilinear_resize(x: Tensor, size: Tuple[int, int]) -> Tensor:
     _, _, in_h, in_w = x.shape
     mat_h = _interp_matrix(out_h, in_h, x.data.dtype)
     mat_w = _interp_matrix(out_w, in_w, x.data.dtype)
-    out = np.einsum("hi,bciw,ow->bcho", mat_h, x.data, mat_w, optimize=True)
+    # (H_out, H_in) @ (B, C, H_in, W_in) @ (W_in, W_out) -> (B, C, H_out, W_out)
+    out = np.matmul(np.matmul(mat_h, x.data), mat_w.T)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_x = np.einsum("hi,bcho,ow->bciw", mat_h, grad, mat_w, optimize=True)
-        x._accumulate(grad_x)
+        x._accumulate(np.matmul(np.matmul(mat_h.T, grad), mat_w))
 
     return Tensor._make(out, (x,), backward)

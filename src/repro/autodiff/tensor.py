@@ -7,13 +7,16 @@ knows how to push the output gradient back to them.  Calling
 invokes the closures in reverse order.
 
 Only float arrays are supported; gradients always share the dtype of the
-forward data.  Broadcasting follows NumPy semantics and is undone in the
-backward pass by summing over the broadcast axes.
+forward data.  A scalar operand of a binary op (a Python or NumPy scalar, or
+a 0-d array) takes the tensor's dtype, so a float32 graph stays float32 and a
+float64 graph stays float64.  Broadcasting follows NumPy semantics and is
+undone in the backward pass by summing over the broadcast axes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,6 +27,7 @@ ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def set_default_dtype(dtype) -> None:
@@ -109,6 +113,19 @@ class Tensor:
     def ensure(value: ArrayLike) -> "Tensor":
         """Wrap ``value`` in a Tensor if it is not one already."""
         return value if isinstance(value, Tensor) else Tensor(value)
+
+    def _operand(self, value: ArrayLike) -> "Tensor":
+        """Wrap a binary-op operand; a scalar one takes this tensor's dtype.
+
+        Under NumPy's promotion rules a 0-d float64 array is not "weak", so
+        ``0.5 * t`` would otherwise lift a float32 tensor to float64.
+        """
+        if isinstance(value, Tensor):
+            return value
+        array = np.asarray(value)
+        if array.ndim == 0:
+            array = array.astype(self.data.dtype)
+        return Tensor(array)
 
     @staticmethod
     def zeros(shape, dtype=None, requires_grad: bool = False) -> "Tensor":
@@ -232,7 +249,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -249,13 +266,13 @@ class Tensor:
         return self._unary(np.negative, lambda g, x: -g)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-Tensor.ensure(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor.ensure(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -269,7 +286,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -283,11 +300,12 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor.ensure(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: Number) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
+        exponent = self.data.dtype.type(exponent)
         out_data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
@@ -350,7 +368,7 @@ class Tensor:
     def erf(self) -> "Tensor":
         return self._unary(
             _special.erf,
-            lambda g, x: g * (2.0 / np.sqrt(np.pi)) * np.exp(-(x ** 2)),
+            lambda g, x: g * _TWO_OVER_SQRT_PI * np.exp(-(x ** 2)),
         )
 
     def abs(self) -> "Tensor":
@@ -362,7 +380,7 @@ class Tensor:
         )
 
     def maximum(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = np.maximum(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:

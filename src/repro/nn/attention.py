@@ -78,9 +78,14 @@ class SpatialChannelAttention(Module):
         key = self.key(x).reshape(batch, self.embed_dim, positions)
         value = self.value(x).reshape(batch, channels, positions).transpose(0, 2, 1)
 
-        scores = (query @ key) / np.sqrt(self.embed_dim)
-        attention = F.softmax(scores, axis=-1)  # A_s: (B, N, N)
-        spatial = (attention @ value).transpose(0, 2, 1).reshape(batch, channels, height, width)
+        # A_s V with A_s = softmax(Q K^T / sqrt(d)), rearranged so the scaling
+        # and the normalisation touch the (N, d) and (N, C) arrays rather than
+        # the (N, N) map: scale Q, exponentiate the max-shifted scores, and
+        # divide the product by the row sums of the unnormalised weights.
+        scores = (query * (1.0 / np.sqrt(self.embed_dim))) @ key  # (B, N, N)
+        weights = (scores - scores.data.max(axis=-1, keepdims=True)).exp()
+        attended = (weights @ value) / weights.sum(axis=-1, keepdims=True)  # (B, N, C)
+        spatial = attended.transpose(0, 2, 1).reshape(batch, channels, height, width)
 
         # Channel attention map A_c: squeeze spatial dims, excite channels.
         descriptor = x.mean(axis=(2, 3), keepdims=True)

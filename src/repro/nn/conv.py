@@ -52,7 +52,7 @@ class Conv2d(Module):
 
 
 class PointwiseConv2d(Module):
-    """1x1 convolution implemented as a channel-mixing einsum.
+    """1x1 convolution implemented as a channel-mixing matmul.
 
     This is the ``W`` linear bypass of every Fourier layer as well as the
     Q/K/V embeddings of the attention block; it is cheaper than the generic

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff.tensor import Tensor
+from tests.conftest import assert_gradients_close, numerical_gradient
 from repro.nn import (
     FourierLayer,
     LinearAttention,
@@ -111,3 +112,68 @@ class TestAttention:
         (block(x) ** 2).mean().backward()
         assert x.grad is not None
         assert all(p.grad is not None for p in block.parameters())
+
+
+def _pointwise(layer, v):
+    """A PointwiseConv2d applied to a (B, C, N) array."""
+    out = np.einsum("oc,bcn->bon", layer.weight.data, v)
+    if layer.bias is not None:
+        out = out + layer.bias.data[None, :, None]
+    return out
+
+
+def _attention_reference(block, x):
+    """Eq. 10 written out: softmax(Q K^T / sqrt(d)) V, channel gate, projection, residual."""
+    batch, channels, height, width = x.shape
+    flat = x.reshape(batch, channels, height * width)
+    query = _pointwise(block.query, flat).transpose(0, 2, 1)
+    key = _pointwise(block.key, flat)
+    value = _pointwise(block.value, flat).transpose(0, 2, 1)
+    scores = query @ key / np.sqrt(block.embed_dim)
+    attention = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attention = attention / attention.sum(axis=-1, keepdims=True)
+    spatial = (attention @ value).transpose(0, 2, 1)
+    gate = 1.0 / (1.0 + np.exp(-_pointwise(block.channel_gate, flat.mean(axis=-1, keepdims=True))))
+    enhanced = _pointwise(block.out, spatial * gate)
+    if block.residual:
+        enhanced = flat + enhanced
+    return enhanced.reshape(batch, channels, height, width)
+
+
+class TestAttentionAgainstReference:
+    """The rearranged softmax attention against the textbook formula."""
+
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_forward_matches_reference_in_float64(self, residual, rng):
+        block = SpatialChannelAttention(5, embed_dim=3, residual=residual, rng=rng).astype(np.float64)
+        x = 3.0 * rng.standard_normal((2, 5, 4, 6))
+        np.testing.assert_allclose(
+            block(Tensor(x)).data, _attention_reference(block, x), rtol=1e-10, atol=1e-10
+        )
+
+    def test_float32_forward_matches_float64_reference(self, rng):
+        block = SpatialChannelAttention(6, embed_dim=4, rng=rng)
+        x = rng.standard_normal((1, 6, 8, 8)).astype(np.float32)
+        out = block(Tensor(x)).data
+        assert out.dtype == np.float32
+        reference = _attention_reference(block.astype(np.float64), x.astype(np.float64))
+        np.testing.assert_allclose(out, reference, atol=1e-5)
+
+    def test_large_scores_stay_finite(self, rng):
+        """The max-shift keeps exp() in range when the scores are huge."""
+        block = SpatialChannelAttention(4, embed_dim=4, rng=rng)
+        x = 200.0 * rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
+        assert np.isfinite(block(Tensor(x)).data).all()
+
+    def test_gradcheck_float64(self, rng):
+        block = SpatialChannelAttention(3, embed_dim=2, rng=rng).astype(np.float64)
+        x = 2.0 * rng.standard_normal((2, 3, 3, 4))
+        xt = Tensor(x.copy(), requires_grad=True)
+        (block(xt) ** 2).mean().backward()
+
+        def scalar():
+            return float((block(Tensor(x)) ** 2).mean().data)
+
+        assert_gradients_close(xt.grad, numerical_gradient(scalar, x))
+        for layer in (block.query, block.key, block.value):
+            assert_gradients_close(layer.weight.grad, numerical_gradient(scalar, layer.weight.data))
