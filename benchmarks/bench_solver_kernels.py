@@ -10,7 +10,9 @@ prepare-once / solve-many refactor buys dataset generation.
 """
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,10 @@ from repro.operators import FNO2d, SAUFNO2d, UFNO2d
 from repro.optim import Adam
 from repro.solvers.fvm import FVMSolver
 from repro.solvers.hotspot import HotSpotModel
+
+# The legacy COO assembly is a test-side reference helper.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "solvers"))
+from reference_assembly import assemble_system_coo  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +73,60 @@ def test_fvm_solve_batch_amortized(benchmark, chip_and_case):
     benchmark.extra_info["cases_per_round"] = 16
 
 
+def _best_of(fn, rounds=7):
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_superposition_vs_backsub(benchmark):
+    """B=1 per-case cost of the default block-superposition kernel against
+    the ``factorization="lu"`` back-substitution, on chip1/2/3 at res 32
+    and 64 (best-of-7 each, prepare excluded).  ``extra_info`` records both
+    per-case times, their ratio, the basis build time (one multi-column
+    back-substitution over the boundary RHS and 1 W per block) and
+    ``cpu_count``.  Answers must agree with the reference to 1e-9 K."""
+    rows = {}
+    for chip_name in ("chip1", "chip2", "chip3"):
+        chip = get_chip(chip_name)
+        case = PowerSampler(chip).sample(np.random.default_rng(3)).assignment
+        for resolution in (32, 64):
+            default = FVMSolver(chip, nx=resolution)
+            reference = FVMSolver(chip, nx=resolution, factorization="lu")
+            prepared = default.prepare()
+            reference.prepare()
+            assert default.superposition
+            basis_rhs = np.column_stack(
+                [prepared.rhs_boundary, default._unit_sources(prepared)]
+            )
+            basis_seconds = _best_of(lambda: prepared.factor.solve(basis_rhs), rounds=3)
+            superposed = _best_of(lambda: default.solve_batch([case]))
+            backsub = _best_of(lambda: reference.solve_batch([case]))
+            error = np.abs(
+                default.solve(case).values - reference.solve(case).values
+            ).max()
+            assert error <= 1e-9
+            rows[f"{chip_name}_r{resolution}"] = {
+                "blocks": len(chip.flat_block_names()),
+                "superposition_ms": superposed * 1e3,
+                "backsub_ms": backsub * 1e3,
+                "speedup": backsub / superposed,
+                "basis_build_ms": basis_seconds * 1e3,
+                "basis_mb": prepared.basis.nbytes / 2**20,
+                "max_diff_K": float(error),
+            }
+    chip = get_chip("chip1")
+    solver = FVMSolver(chip, nx=32)
+    solver.prepare()
+    case = PowerSampler(chip).sample(np.random.default_rng(3)).assignment
+    benchmark(lambda: solver.solve_batch([case]))
+    benchmark.extra_info["superposition_vs_backsub"] = rows
+    benchmark.extra_info["cpu_count"] = os.cpu_count()
+
+
 def test_csc_assembly_prepare_win(benchmark, chip_and_case):
     """Direct CSC assembly vs the legacy COO -> CSR -> tocsc() pipeline at
     resolution 64.  The two produce bitwise-identical matrices (asserted);
@@ -79,24 +139,16 @@ def test_csc_assembly_prepare_win(benchmark, chip_and_case):
     geometry = solver.geometry  # voxelised once; both paths assemble only
 
     matrix, rhs, _ = solver._assemble_system(geometry)
-    legacy_csc = solver._assemble_system_coo(geometry)[0].tocsc()
+    legacy_csc = assemble_system_coo(solver, geometry)[0].tocsc()
     legacy_csc.sort_indices()
     assert np.array_equal(matrix.indptr, legacy_csc.indptr)
     assert np.array_equal(matrix.indices, legacy_csc.indices)
     assert np.array_equal(matrix.data, legacy_csc.data)
 
-    def best_of(fn, rounds=7):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    legacy_seconds = best_of(
-        lambda: solver._assemble_system_coo(geometry)[0].tocsc().sort_indices()
+    legacy_seconds = _best_of(
+        lambda: assemble_system_coo(solver, geometry)[0].tocsc().sort_indices()
     )
-    direct_seconds = best_of(lambda: solver._assemble_system(geometry))
+    direct_seconds = _best_of(lambda: solver._assemble_system(geometry))
     benchmark(lambda: solver._assemble_system(geometry))
     benchmark.extra_info["legacy_coo_tocsc_seconds"] = legacy_seconds
     benchmark.extra_info["direct_csc_seconds"] = direct_seconds

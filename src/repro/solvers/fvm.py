@@ -13,10 +13,10 @@ on a structured voxel grid with
 * a weaker Robin boundary on the bottom surface (package / board path), and
 * adiabatic lateral faces.
 
-The solver has one kernel — float64, sparse direct, factorised once — and
-is organised around a **prepare-once / solve-many** split, the key cost
-structure behind the paper's data-generation step (thousands of solves on
-one chip/grid):
+The solver has one factorisation — float64, sparse direct, factorised
+once — and is organised around a **prepare-once / solve-many** split, the
+key cost structure behind the paper's data-generation step (thousands of
+solves on one chip/grid):
 
 * *Prepare* (once per solver): voxelize the chip geometry
   (:func:`~repro.solvers.voxelize.build_geometry`), assemble the sparse
@@ -26,18 +26,30 @@ one chip/grid):
   of :mod:`repro.solvers.factor` (CHOLMOD Cholesky when importable,
   sparse LU otherwise).  The matrix depends only on geometry; power enters
   the discretisation solely through the right-hand side.
-* *Solve* (per power case): rasterise the power assignment to a heat
-  source, add it to the cached boundary RHS, and back-substitute against
-  the cached factorisation.  :meth:`FVMSolver.solve_batch` stacks many RHS
-  vectors into an ``(n, B)`` matrix and solves them in one shot, amortising
-  the factorisation across the whole batch.
+* *Block superposition* (the default steady kernel): every power
+  assignment is a per-block power vector ``p`` — each block's power is
+  spread uniformly over its cells — and conduction is linear, so the field
+  is ``T = T_bnd + G @ p``.  ``prepare()`` pays one multi-column
+  back-substitution for the boundary field ``T_bnd`` and the basis ``G``
+  (one column per ``"layer/block"`` of :meth:`ChipStack.flat_block_names`,
+  the field of 1 W on that block).  A solve then rasterises the power (for
+  validation and the returned grid's heat source) and accumulates
+  ``T_bnd + sum_k G[:, k] * p_k`` in the fixed block order, elementwise,
+  so a case's bits never depend on its batch size or position.  Above
+  :data:`SUPERPOSITION_MAX_BLOCKS` blocks the basis costs more than it
+  saves and the solver back-substitutes instead.
+* *Back-substitution* (``factorization="lu"``, the pinned reference, and
+  large floorplans): add the rasterised heat source to the cached boundary
+  RHS and back-substitute against the cached factorisation.
+  :meth:`FVMSolver.solve_batch` stacks many RHS vectors into an ``(n, B)``
+  matrix and solves them in one shot.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -60,7 +72,20 @@ from repro.solvers.voxelize import (
 #: in the last floating-point bits) the fields it produces.  Dataset cache
 #: keys embed this token so stale datasets regenerate automatically.
 #: "3": direct CSC assembly + selectable SPD factorization kernel.
-SOLVER_VERSION = "3"
+#: "4": block superposition is the default steady kernel.
+SOLVER_VERSION = "4"
+
+#: Largest power-block count for which ``factorization="auto"`` builds the
+#: superposition basis.  The basis costs one back-substitution and ``8 n``
+#: bytes per block at ``prepare()``, and a query streams every column once,
+#: so per-query work grows with the block count while a back-substitution
+#: does not.  Measured on chip1's stack with tiled floorplans (2 vCPU, 1 BLAS
+#: thread): at 72 blocks the basis adds 123 ms to a 109 ms prepare at res 32
+#: (500 ms to 1.0 s at res 64, 13.5 MB) for queries 2.7x (res 32) and 11x
+#: (res 64) faster than a back-substitution; at 128 blocks it adds 2x-3x the
+#: prepare time for a 1.8x gain at res 32, and per-query parity comes near
+#: 250 blocks.  The built-in chips have 7-13 blocks.
+SUPERPOSITION_MAX_BLOCKS = 64
 
 
 @dataclass
@@ -132,13 +157,19 @@ class _PreparedSystem:
     ``matrix`` (CSC, assembled directly in that format) and
     ``rhs_boundary`` capture everything that is independent of the power
     assignment; ``cell_volumes`` converts a volumetric heat source into the
-    RHS source term; ``factor`` is the SPD factorisation of ``matrix``.
+    RHS source term; ``factor`` is the SPD factorisation of ``matrix``
+    (``None`` while only assembled).  With block superposition,
+    ``boundary_field`` (n,) is the zero-power field and ``basis``
+    (n x n_blocks, read-only) holds the field of 1 W on each block;
+    both stay ``None`` on the back-substitution path.
     """
 
     matrix: sparse.csc_matrix
     rhs_boundary: np.ndarray
     cell_volumes: np.ndarray
-    factor: SPDFactor
+    factor: Optional[SPDFactor] = None
+    boundary_field: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None
 
 
 class FVMSolver:
@@ -157,8 +188,9 @@ class FVMSolver:
     factorization:
         ``"auto"`` (the default: CHOLMOD Cholesky when
         :data:`~repro.solvers.factor.CHOLMOD_AVAILABLE`, sparse LU
-        otherwise) or ``"lu"`` (always SuperLU — the pinned reference that
-        differential tests compare against).  See
+        otherwise, answering by block superposition) or ``"lu"`` (always
+        SuperLU and a plain back-substitution per case — the pinned
+        reference that differential tests compare against).  See
         :mod:`repro.solvers.factor`.
     geometry:
         An optional pre-built :class:`~repro.solvers.voxelize.GridGeometry`
@@ -211,6 +243,10 @@ class FVMSolver:
                 )
         self._geometry: Optional[GridGeometry] = geometry
         self._prepared: Optional[_PreparedSystem] = None
+        #: ``(layer, block)`` of every power block, in ``flat_block_names`` order.
+        self._block_keys: List[Tuple[str, str]] = [
+            tuple(name.split("/", 1)) for name in chip.flat_block_names()
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -222,21 +258,100 @@ class FVMSolver:
             )
         return self._geometry
 
-    def prepare(self) -> _PreparedSystem:
-        """Assemble and factorise the system once.
+    @property
+    def superposition(self) -> bool:
+        """Whether solves answer from the per-block basis.
 
-        Subsequent :meth:`solve` / :meth:`solve_batch` calls only pay for
-        the power rasterisation and the triangular back-substitution.
+        True for ``factorization="auto"`` on floorplans of at most
+        :data:`SUPERPOSITION_MAX_BLOCKS` blocks; ``"lu"`` always
+        back-substitutes.
+        """
+        return (
+            self.factorization == "auto"
+            and len(self._block_keys) <= SUPERPOSITION_MAX_BLOCKS
+        )
+
+    def _assemble(self) -> _PreparedSystem:
+        """Assemble the system once, without factorising it.
+
+        The transient solver's entry point: its backward-Euler loop
+        factorises ``C/dt + A`` itself and never needs the steady factor.
         """
         if self._prepared is None:
             matrix, rhs_boundary, cell_volumes = self._assemble_system(self.geometry)
             self._prepared = _PreparedSystem(
-                matrix=matrix,
-                rhs_boundary=rhs_boundary,
-                cell_volumes=cell_volumes,
-                factor=factorize(matrix, self.factorization),
+                matrix=matrix, rhs_boundary=rhs_boundary, cell_volumes=cell_volumes
             )
         return self._prepared
+
+    def prepare(self) -> _PreparedSystem:
+        """Assemble and factorise the system once, and build the basis.
+
+        Subsequent :meth:`solve` / :meth:`solve_batch` calls only pay for
+        the power rasterisation and either the basis accumulation or the
+        triangular back-substitution.
+        """
+        prepared = self._assemble()
+        if prepared.factor is None:
+            factor = factorize(prepared.matrix, self.factorization)
+            if self.superposition:
+                # One multi-column back-substitution: the boundary RHS and
+                # 1 W on each block.
+                solved = factor.solve(
+                    np.column_stack([prepared.rhs_boundary, self._unit_sources(prepared)])
+                )
+                prepared.boundary_field = np.ascontiguousarray(solved[:, 0])
+                basis = np.asfortranarray(solved[:, 1:])
+                basis.flags.writeable = False
+                prepared.basis = basis
+            # Published last: a prepared system with a factor is complete.
+            # Concurrent first calls may each build; their results are equal.
+            prepared.factor = factor
+        return prepared
+
+    def _unit_sources(self, prepared: _PreparedSystem) -> np.ndarray:
+        """RHS columns of 1 W on each block, shape ``(n, n_blocks)``.
+
+        A block with no cells at this resolution gets a zero column; it can
+        only ever carry zero power (rasterisation rejects anything else).
+        """
+        geometry = self.geometry
+        columns = np.zeros((geometry.cell_count, len(self._block_keys)))
+        floorplans = {raster.layer_name: raster.floorplan for raster in geometry.rasters}
+        for index, (layer_name, block_name) in enumerate(self._block_keys):
+            floorplan = floorplans[layer_name]
+            if floorplan.block_mask(block_name, geometry.nx, geometry.ny).any():
+                source = geometry.rasterize_power({f"{layer_name}/{block_name}": 1.0})
+                columns[:, index] = (source * prepared.cell_volumes).ravel()
+        return columns
+
+    def _superpose(
+        self, prepared: _PreparedSystem, power_assignments: Sequence[Mapping[str, float]]
+    ) -> np.ndarray:
+        """Fields of many cases from the basis, shape ``(B, n)``.
+
+        ``T_bnd + sum_k G[:, k] * p_k`` is accumulated block by block in
+        the fixed ``flat_block_names`` order with elementwise multiplies and
+        adds (no GEMM, whose blocking and FMA would make a case's bits
+        depend on the batch around it).
+        """
+        powers = np.array(
+            [self._block_powers(assignment) for assignment in power_assignments]
+        )
+        fields = np.repeat(prepared.boundary_field[None, :], len(powers), axis=0)
+        term = np.empty_like(fields)
+        for index in range(len(self._block_keys)):
+            np.multiply(powers[:, index, None], prepared.basis[:, index], out=term)
+            fields += term
+        return fields
+
+    def _block_powers(self, power_assignment: Mapping[str, float]) -> List[float]:
+        """One case's powers (W) in ``flat_block_names`` order."""
+        per_layer = self.chip.split_power_assignment(dict(power_assignment))
+        return [
+            float(per_layer[layer_name].get(block_name, 0.0))
+            for layer_name, block_name in self._block_keys
+        ]
 
     @property
     def resolved_kernel(self) -> str:
@@ -254,8 +369,11 @@ class FVMSolver:
         prepared = self.prepare()
         geometry = self.geometry
         heat_source = geometry.rasterize_power(power_assignment)
-        rhs = prepared.rhs_boundary + (heat_source * prepared.cell_volumes).ravel()
-        temperatures = prepared.factor.solve(rhs)
+        if prepared.basis is not None:
+            temperatures = self._superpose(prepared, [power_assignment])[0]
+        else:
+            rhs = prepared.rhs_boundary + (heat_source * prepared.cell_volumes).ravel()
+            temperatures = prepared.factor.solve(rhs)
         elapsed = time.perf_counter() - start
         grid = geometry.grid_with_source(heat_source)
         values = temperatures.reshape(geometry.nz, geometry.ny, geometry.nx)
@@ -264,13 +382,13 @@ class FVMSolver:
     def solve_batch(
         self, power_assignments: Sequence[Mapping[str, float]]
     ) -> List[TemperatureField]:
-        """Solve many power cases against the single cached factorisation.
+        """Solve many power cases against the single cached preparation.
 
-        The RHS vectors are stacked into an ``(n, B)`` matrix and solved in
-        one pass, so the factorisation and all symbolic work are paid once
-        for the whole batch.  Each returned :class:`TemperatureField`
-        carries the amortised per-case wall-clock time in
-        ``solve_seconds``.
+        With block superposition every case is accumulated from the basis,
+        bitwise as :meth:`solve` would.  On the back-substitution path the
+        RHS vectors are stacked into an ``(n, B)`` matrix and solved in one
+        pass.  Each returned :class:`TemperatureField` carries the
+        amortised per-case wall-clock time in ``solve_seconds``.
         """
         if not power_assignments:
             return []
@@ -278,18 +396,23 @@ class FVMSolver:
         prepared = self.prepare()
         geometry = self.geometry
         sources = [geometry.rasterize_power(a) for a in power_assignments]
-        power_columns = np.stack(
-            [(s * prepared.cell_volumes).ravel() for s in sources], axis=1
-        )
-        # Broadcast the power-free boundary RHS over the power-column matrix
-        # in one vectorised add (elementwise identical to per-case solves).
-        solutions = prepared.factor.solve(prepared.rhs_boundary[:, None] + power_columns)
+        if prepared.basis is not None:
+            solutions = self._superpose(prepared, power_assignments)
+        else:
+            power_columns = np.stack(
+                [(s * prepared.cell_volumes).ravel() for s in sources], axis=1
+            )
+            # Broadcast the power-free boundary RHS over the power-column
+            # matrix in one vectorised add; one row per case afterwards.
+            solutions = prepared.factor.solve(
+                prepared.rhs_boundary[:, None] + power_columns
+            ).T
         per_case = (time.perf_counter() - start) / len(power_assignments)
 
         fields = []
-        for case_index, heat_source in enumerate(sources):
+        for heat_source, case_values in zip(sources, solutions):
             grid = geometry.grid_with_source(heat_source)
-            values = solutions[:, case_index].reshape(geometry.nz, geometry.ny, geometry.nx)
+            values = case_values.reshape(geometry.nz, geometry.ny, geometry.nx)
             fields.append(
                 TemperatureField(
                     chip=self.chip, grid=grid, values=values, solve_seconds=per_case
@@ -316,9 +439,9 @@ class FVMSolver:
         conductance bands out in that order and compressing the invalid
         slots yields the canonical CSC arrays directly, with no COO
         triplets, no duplicate summation and no format conversion before
-        factorisation.  The arrays are bitwise-identical to the COO
-        reference assembly (:meth:`_assemble_system_coo`) converted via
-        ``tocsc()``; the equivalence suite asserts this.
+        factorisation.  The arrays are bitwise-identical to the historical
+        COO assembly converted via ``tocsc()``; the equivalence suite keeps
+        that reference assembly on the test side and asserts this.
         """
         nz, ny, nx = grid.nz, grid.ny, grid.nx
         dx = self.chip.die_width_mm * 1e-3 / nx
@@ -412,103 +535,4 @@ class FVMSolver:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_column_valid.sum(axis=1), out=indptr[1:])
         matrix = sparse.csc_matrix((data, indices, indptr), shape=(n, n))
-        return matrix, rhs.ravel(), cell_volumes
-
-    def _assemble_system_coo(self, grid):
-        """Reference COO assembly (the historical path), kept for equivalence
-        tests and the prepare-time benchmark.
-
-        Builds the same system as :meth:`_assemble_system` through COO
-        triplets coalesced into CSR — the pre-CSC pipeline whose
-        ``tocsc()`` conversion the direct assembly eliminates.  Returns
-        ``(csr_matrix, rhs_boundary, cell_volumes)``.
-        """
-        nz, ny, nx = grid.nz, grid.ny, grid.nx
-        dx = self.chip.die_width_mm * 1e-3 / nx
-        dy = self.chip.die_height_mm * 1e-3 / ny
-        dz = grid.dz_mm * 1e-3
-        k = grid.conductivity
-
-        ambient = self.chip.cooling.ambient_K
-        top_htc = self.chip.cooling.effective_top_htc(self.chip.die_area_m2)
-        bottom_htc = self.chip.cooling.secondary_htc
-
-        n = nz * ny * nx
-        index = np.arange(n).reshape(nz, ny, nx)
-
-        diag = np.zeros((nz, ny, nx))
-        rhs = np.zeros((nz, ny, nx))
-
-        rows = []
-        cols = []
-        vals = []
-
-        def add_pair(idx_a, idx_b, conductance):
-            rows.append(idx_a)
-            cols.append(idx_b)
-            vals.append(-conductance)
-
-        if nx > 1:
-            k_face = _harmonic_mean(k[:, :, :-1], k[:, :, 1:])
-            area = dy * dz[:, None, None]
-            conductance = k_face * area / dx
-            diag[:, :, :-1] += conductance
-            diag[:, :, 1:] += conductance
-            a = index[:, :, :-1].ravel()
-            b = index[:, :, 1:].ravel()
-            c = conductance.ravel()
-            add_pair(a, b, c)
-            add_pair(b, a, c)
-
-        if ny > 1:
-            k_face = _harmonic_mean(k[:, :-1, :], k[:, 1:, :])
-            area = dx * dz[:, None, None]
-            conductance = k_face * area / dy
-            diag[:, :-1, :] += conductance
-            diag[:, 1:, :] += conductance
-            a = index[:, :-1, :].ravel()
-            b = index[:, 1:, :].ravel()
-            c = conductance.ravel()
-            add_pair(a, b, c)
-            add_pair(b, a, c)
-
-        if nz > 1:
-            k_lower = k[:-1]
-            k_upper = k[1:]
-            resist = (0.5 * dz[:-1])[:, None, None] / k_lower + (0.5 * dz[1:])[:, None, None] / k_upper
-            conductance = (dx * dy) / resist
-            diag[:-1] += conductance
-            diag[1:] += conductance
-            a = index[:-1].ravel()
-            b = index[1:].ravel()
-            c = conductance.ravel()
-            add_pair(a, b, c)
-            add_pair(b, a, c)
-
-        face_area = dx * dy
-        k_top = k[-1]
-        half_resistance = (0.5 * dz[-1]) / k_top
-        film_resistance = 1.0 / top_htc
-        top_conductance = face_area / (half_resistance + film_resistance)
-        diag[-1] += top_conductance
-        rhs[-1] += top_conductance * ambient
-
-        if bottom_htc > 0:
-            k_bottom = k[0]
-            half_resistance = (0.5 * dz[0]) / k_bottom
-            film_resistance = 1.0 / bottom_htc
-            bottom_conductance = face_area / (half_resistance + film_resistance)
-            diag[0] += bottom_conductance
-            rhs[0] += bottom_conductance * ambient
-
-        cell_volumes = face_area * dz[:, None, None]
-
-        rows.append(index.ravel())
-        cols.append(index.ravel())
-        vals.append(diag.ravel())
-
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return matrix, rhs.ravel(), cell_volumes

@@ -174,8 +174,10 @@ class TransientFVMSolver:
 
         initial_assignment = self._power_at(power_trace, 0.0)
         # Reuse the steady solver's cached geometry and assembly; only the
-        # heat source depends on the trace.
-        prepared = self._steady.prepare()
+        # heat source depends on the trace.  Assembly only: the Euler loop
+        # factorises its own system, so the steady factor (and basis) is
+        # left for steady_state() to build if it is ever asked for.
+        prepared = self._steady._assemble()
         geometry = self._steady.geometry
         grid = geometry.grid_for(initial_assignment)
         matrix = prepared.matrix

@@ -204,10 +204,10 @@ class TestGeneration:
 
         kernel = "cholmod" if CHOLMOD_AVAILABLE else "lu"
         assert DatasetSpec("chip1", 32, 64).cache_key() == (
-            f"chip1_r32_n64_s0_c2_b3_i0.15_pdefault_k{kernel}_v3"
+            f"chip1_r32_n64_s0_c2_b3_i0.15_pdefault_k{kernel}_v4"
         )
         spec = DatasetSpec("chip2", 48, 16, seed=3, total_power_range_W=(10.0, 40.0))
-        assert spec.cache_key() == f"chip2_r48_n16_s3_c2_b3_i0.15_p10-40_k{kernel}_v3"
+        assert spec.cache_key() == f"chip2_r48_n16_s3_c2_b3_i0.15_p10-40_k{kernel}_v4"
 
     def test_generate_dataset_batch_size_invariant(self):
         spec = DatasetSpec(chip_name="chip1", resolution=10, num_samples=5, seed=3)
