@@ -127,6 +127,56 @@ def test_superposition_vs_backsub(benchmark):
     benchmark.extra_info["cpu_count"] = os.cpu_count()
 
 
+def _factor_nnz(factor) -> int:
+    """``L.nnz + U.nnz`` of a SuperLU-backed factor, 0 for CHOLMOD."""
+    superlu = getattr(factor._solve, "__self__", None)
+    return int(superlu.L.nnz + superlu.U.nnz) if hasattr(superlu, "L") else 0
+
+
+def test_factorization_fill(benchmark):
+    """Factorisation cost of the default kernel against the COLAMD ``"lu"``
+    reference, on chip1/2/3 at res 32 and 64: best-of-3 factor time and
+    ``L.nnz + U.nnz`` for both, plus the default kernel's backward-Euler
+    factor (``diags(C/dt) + A`` at dt = 2 ms, what every transient trace
+    factorises).  ``extra_info`` records the rows and ``cpu_count``.  Without
+    CHOLMOD the default (``"lu-sym"``) must store at most 0.75x the
+    reference's entries."""
+    from scipy import sparse
+
+    from repro.solvers import TransientFVMSolver, factorize
+
+    dt_s = 2e-3
+    rows = {}
+    for chip_name in ("chip1", "chip2", "chip3"):
+        chip = get_chip(chip_name)
+        for resolution in (32, 64):
+            transient = TransientFVMSolver(chip, nx=resolution)
+            matrix = transient._steady._assemble().matrix
+            capacity = transient._capacity_vector(transient._steady.geometry.grid_for({}))
+            euler = sparse.diags(capacity / dt_s) + matrix
+            row = {}
+            for label, system, kernel in (
+                ("auto", matrix, "auto"),
+                ("lu", matrix, "lu"),
+                ("euler", euler, "auto"),
+            ):
+                factor = factorize(system, kernel)
+                row[f"{label}_kind"] = factor.kind
+                row[f"{label}_nnz"] = _factor_nnz(factor)
+                del factor  # one chip2 res-64 COLAMD factor is ~220 MB
+                seconds = _best_of(lambda: factorize(system, kernel), rounds=3)
+                row[f"{label}_factor_ms"] = seconds * 1e3
+            if row["auto_kind"] == "lu-sym":
+                assert row["auto_nnz"] <= 0.75 * row["lu_nnz"]
+            row["fill_ratio"] = row["auto_nnz"] / row["lu_nnz"] if row["auto_nnz"] else None
+            row["factor_speedup"] = row["lu_factor_ms"] / row["auto_factor_ms"]
+            rows[f"{chip_name}_r{resolution}"] = row
+    matrix = FVMSolver(get_chip("chip1"), nx=32)._assemble().matrix
+    benchmark(lambda: factorize(matrix))
+    benchmark.extra_info["factorization_fill"] = rows
+    benchmark.extra_info["cpu_count"] = os.cpu_count()
+
+
 def test_csc_assembly_prepare_win(benchmark, chip_and_case):
     """Direct CSC assembly vs the legacy COO -> CSR -> tocsc() pipeline at
     resolution 64.  The two produce bitwise-identical matrices (asserted);

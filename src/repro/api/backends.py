@@ -149,8 +149,8 @@ class FVMBackendAdapter:
             provenance={
                 "source": "fvm",
                 "method": self.solver.method,
-                # The resolved kernel ("cholmod"/"lu"): provenance names
-                # what actually produced the bits.
+                # The resolved kernel ("cholmod"/"lu-sym"/"lu"): provenance
+                # names what actually produced the bits.
                 "kernel": self.solver.resolved_kernel,
             },
         )

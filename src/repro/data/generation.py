@@ -58,8 +58,8 @@ class DatasetSpec:
 
         Embeds the solver pipeline version so cached datasets regenerate
         whenever the solver changes, and the SPD kernel this host's solver
-        resolves to (``cholmod``/``lu``, see :mod:`repro.solvers.factor`) so
-        a dataset generated under one kernel is never served to a host
+        resolves to (``cholmod``/``lu-sym``, see :mod:`repro.solvers.factor`)
+        so a dataset generated under one kernel is never served to a host
         resolving to another — the kernels agree only to ~1e-9 K, and
         cached bits must name what produced them.
         """

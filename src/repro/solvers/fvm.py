@@ -24,8 +24,10 @@ solves on one chip/grid):
   structure is known in closed form, so no COO intermediate and no
   ``tocsc()`` copy are ever built) and factorise it with the SPD kernel
   of :mod:`repro.solvers.factor` (CHOLMOD Cholesky when importable,
-  sparse LU otherwise).  The matrix depends only on geometry; power enters
-  the discretisation solely through the right-hand side.
+  otherwise SuperLU with a minimum-degree ordering on ``A + A^T`` and no
+  pivoting, about half the fill of a COLAMD LU).  The matrix depends only
+  on geometry; power enters the discretisation solely through the
+  right-hand side.
 * *Block superposition* (the default steady kernel): every power
   assignment is a per-block power vector ``p`` — each block's power is
   spread uniformly over its cells — and conduction is linear, so the field
@@ -38,9 +40,10 @@ solves on one chip/grid):
   so a case's bits never depend on its batch size or position.  Above
   :data:`SUPERPOSITION_MAX_BLOCKS` blocks the basis costs more than it
   saves and the solver back-substitutes instead.
-* *Back-substitution* (``factorization="lu"``, the pinned reference, and
-  large floorplans): add the rasterised heat source to the cached boundary
-  RHS and back-substitute against the cached factorisation.
+* *Back-substitution* (``factorization="lu"``, the pinned reference —
+  plain COLAMD ``splu`` — and large floorplans): add the rasterised heat
+  source to the cached boundary RHS and back-substitute against the cached
+  factorisation.
   :meth:`FVMSolver.solve_batch` stacks many RHS vectors into an ``(n, B)``
   matrix and solves them in one shot.
 """
@@ -73,7 +76,8 @@ from repro.solvers.voxelize import (
 #: keys embed this token so stale datasets regenerate automatically.
 #: "3": direct CSC assembly + selectable SPD factorization kernel.
 #: "4": block superposition is the default steady kernel.
-SOLVER_VERSION = "4"
+#: "5": the default factorisation is symmetric-mode SuperLU (``"lu-sym"``).
+SOLVER_VERSION = "5"
 
 #: Largest power-block count for which ``factorization="auto"`` builds the
 #: superposition basis.  The basis costs one back-substitution and ``8 n``
@@ -187,10 +191,11 @@ class FVMSolver:
         studies).
     factorization:
         ``"auto"`` (the default: CHOLMOD Cholesky when
-        :data:`~repro.solvers.factor.CHOLMOD_AVAILABLE`, sparse LU
-        otherwise, answering by block superposition) or ``"lu"`` (always
-        SuperLU and a plain back-substitution per case — the pinned
-        reference that differential tests compare against).  See
+        :data:`~repro.solvers.factor.CHOLMOD_AVAILABLE`, otherwise
+        symmetric-mode SuperLU without pivoting, ``"lu-sym"``; answers by
+        block superposition) or ``"lu"`` (always COLAMD SuperLU and a
+        plain back-substitution per case — the pinned reference that
+        differential tests compare against).  See
         :mod:`repro.solvers.factor`.
     geometry:
         An optional pre-built :class:`~repro.solvers.voxelize.GridGeometry`
@@ -355,7 +360,7 @@ class FVMSolver:
 
     @property
     def resolved_kernel(self) -> str:
-        """The SPD kernel this solver runs: ``"cholmod"`` or ``"lu"``.
+        """The SPD kernel this solver runs: ``"cholmod"``/``"lu-sym"``/``"lu"``.
 
         Resolved without factorising, so cache keys and provenance can name
         the kernel before (or without) :meth:`prepare`.

@@ -108,7 +108,8 @@ class TransientFVMSolver:
         Same meaning as for :class:`~repro.solvers.fvm.FVMSolver`.  The
         backward-Euler system ``C/dt + A`` is itself SPD (adding the
         positive diagonal ``C/dt`` only strengthens definiteness), so it
-        runs on the same automatically selected kernel as the steady solver.
+        runs on the same automatically selected kernel as the steady solver
+        — without CHOLMOD, symmetric-mode SuperLU with no pivoting.
     """
 
     def __init__(

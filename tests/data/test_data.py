@@ -202,12 +202,12 @@ class TestGeneration:
         """Keys of existing cached datasets must keep resolving to them."""
         from repro.solvers.factor import CHOLMOD_AVAILABLE
 
-        kernel = "cholmod" if CHOLMOD_AVAILABLE else "lu"
+        kernel = "cholmod" if CHOLMOD_AVAILABLE else "lu-sym"
         assert DatasetSpec("chip1", 32, 64).cache_key() == (
-            f"chip1_r32_n64_s0_c2_b3_i0.15_pdefault_k{kernel}_v4"
+            f"chip1_r32_n64_s0_c2_b3_i0.15_pdefault_k{kernel}_v5"
         )
         spec = DatasetSpec("chip2", 48, 16, seed=3, total_power_range_W=(10.0, 40.0))
-        assert spec.cache_key() == f"chip2_r48_n16_s3_c2_b3_i0.15_p10-40_k{kernel}_v4"
+        assert spec.cache_key() == f"chip2_r48_n16_s3_c2_b3_i0.15_p10-40_k{kernel}_v5"
 
     def test_generate_dataset_batch_size_invariant(self):
         spec = DatasetSpec(chip_name="chip1", resolution=10, num_samples=5, seed=3)

@@ -51,7 +51,7 @@ class TestFactorizationSelection:
                 validate_factorization(removed)
 
     def test_resolution_is_deterministic(self):
-        expected = "cholmod" if CHOLMOD_AVAILABLE else "lu"
+        expected = "cholmod" if CHOLMOD_AVAILABLE else "lu-sym"
         assert resolve_factorization("auto") == expected
         assert resolve_factorization("lu") == "lu"
 
@@ -72,7 +72,7 @@ class TestFactorizationSelection:
             FVMSolver(tiny_chip, nx=8, factorization="qr")
 
     def test_solver_version_bumped_for_kernel_tier(self):
-        assert SOLVER_VERSION == "4"
+        assert SOLVER_VERSION == "5"
 
 
 class TestCSCAssembly:
